@@ -38,9 +38,6 @@ struct Row {
     trace_bucket_hits: u64,
     trace_bucket_misses: u64,
     scratch_grows: u64,
-    spec_planned: u64,
-    spec_hits: u64,
-    spec_invalidations: u64,
     fs_repositions: u64,
     fs_renorms: u64,
 }
@@ -95,9 +92,6 @@ fn main() {
                 trace_bucket_hits: hp.trace_bucket_hits,
                 trace_bucket_misses: hp.trace_bucket_misses,
                 scratch_grows: hp.scratch_grows,
-                spec_planned: hp.spec_planned,
-                spec_hits: hp.spec_hits,
-                spec_invalidations: hp.spec_invalidations,
                 fs_repositions: hp.fs_repositions,
                 fs_renorms: hp.fs_renorms,
             });

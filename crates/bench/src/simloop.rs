@@ -360,9 +360,8 @@ mod tests {
     }
 
     /// Reduced-scale threaded smoke: the whole corpus must produce
-    /// byte-identical outcomes at 1, 2 and 8 threads with the
-    /// speculative planner forced on, so thread-count output drift in
-    /// any policy fails plain `cargo test` (CI runs this in the default
+    /// byte-identical outcomes at 1, 2 and 8 threads, so thread-count
+    /// output drift in any policy fails plain `cargo test` (CI runs this in the default
     /// test job; the golden suite separately pins six curated scenarios
     /// against committed snapshots).
     #[test]
@@ -377,7 +376,6 @@ mod tests {
             serde_json::to_string(&v).unwrap()
         }
 
-        sustain_scheduler::sim::set_par_pending_min(0);
         let corpus = scenarios(Scale::Smoke);
         sustain_hpc_core::sweep::set_threads(1);
         let baseline: Vec<String> = corpus

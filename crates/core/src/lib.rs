@@ -46,7 +46,7 @@ pub mod sweep;
 
 pub use cache::{global_outcome_cache, init_outcome_cache_cap_from_env, OutcomeCache, OutcomeKey};
 
-pub use scenario::{run, run_with_ctl, try_run, try_run_with_ctl, Scenario, ScenarioResult};
+pub use scenario::{run, try_run, Scenario, ScenarioResult};
 pub use site::{lifetime_report, LifetimeCarbonReport, Site};
 
 /// Convenience prelude: the most commonly used items across the
@@ -54,14 +54,10 @@ pub use site::{lifetime_report, LifetimeCarbonReport, Site};
 pub mod prelude {
     pub use crate::cache::{global_outcome_cache, OutcomeCache, OutcomeKey};
     pub use crate::experiments::*;
-    pub use crate::scenario::{
-        run, run_with_ctl, try_run, try_run_with_ctl, Scenario, ScenarioResult,
-    };
+    pub use crate::scenario::{run, try_run, Scenario, ScenarioResult};
     pub use crate::site::{lifetime_report, LifetimeCarbonReport, Site};
     pub use crate::sweep::{
-        calibrated_trace, set_threads, sweep, sweep_seeded, try_sweep, try_sweep_memo_with_ctl,
-        try_sweep_resumable, try_sweep_resumable_retry, try_sweep_retry_with_ctl, try_sweep_seeded,
-        try_sweep_seeded_with_ctl, PointError, PointRun,
+        calibrated_trace, set_threads, sweep, try_sweep, Journal, PointError, PointRun, SweepSpec,
     };
     pub use sustain_carbon_model::metrics::DesignMetric;
     pub use sustain_carbon_model::system::SystemInventory;

@@ -17,7 +17,7 @@ use sustain_power::carbon_scaler::ScalingPolicy;
 use sustain_power::pue::PueModel;
 use sustain_scheduler::cluster::Cluster;
 use sustain_scheduler::metrics::SimOutcome;
-use sustain_scheduler::sim::{simulate, simulate_with_ctl, CheckpointCfg, Policy, SimConfig};
+use sustain_scheduler::sim::{simulate_with_ctl, CheckpointCfg, Policy, SimConfig};
 use sustain_sim_core::ctl::RunCtl;
 use sustain_sim_core::error::{ensure_at_least, ConfigError, SimError, Validate};
 use sustain_sim_core::hash::{CanonicalHash, CanonicalHasher};
@@ -136,29 +136,33 @@ pub struct ScenarioResult {
     pub grid_mean_ci: f64,
 }
 
-/// Runs a scenario.
+/// Runs a trusted, already-validated scenario with no cancellation
+/// control. Use [`try_run`] at program boundaries.
 pub fn run(scenario: &Scenario) -> ScenarioResult {
-    match run_inner(scenario, None) {
+    match run_inner(scenario, &RunCtl::unlimited()) {
         Ok(result) => result,
-        // With no control attached there is no cancellation point, and
-        // the `scenario::run` fault site is infallible (panic-escalating).
+        // An unlimited control never cancels, and the `scenario::run`
+        // fault site is infallible (panic-escalating).
         Err(_) => unreachable!("uncontrolled scenario run cannot be cancelled"),
     }
 }
 
-/// [`run`] under a cooperative cancellation control: checks `ctl`
-/// before the (potentially cache-filling) trace generation and at
-/// bucket granularity inside the event loop, returning a typed
+/// Validated, cancellable [`run`]: checks the scenario's whole
+/// configuration tree up front and returns a typed [`SimError`]
+/// instead of panicking deep in the stack, then checks `ctl` before the
+/// (potentially cache-filling) trace generation and at bucket
+/// granularity inside the event loop, returning a typed
 /// [`SimError::Cancelled`] stamped with the simulation time reached.
-pub fn run_with_ctl(scenario: &Scenario, ctl: &RunCtl) -> Result<ScenarioResult, SimError> {
-    run_inner(scenario, Some(ctl))
+/// Prefer this at program boundaries (CLI flags, config files, service
+/// requests); pass [`RunCtl::unlimited`] when nothing can cancel.
+pub fn try_run(scenario: &Scenario, ctl: &RunCtl) -> Result<ScenarioResult, SimError> {
+    scenario.validate()?;
+    run_inner(scenario, ctl)
 }
 
-fn run_inner(scenario: &Scenario, ctl: Option<&RunCtl>) -> Result<ScenarioResult, SimError> {
+fn run_inner(scenario: &Scenario, ctl: &RunCtl) -> Result<ScenarioResult, SimError> {
     sustain_sim_core::faultpoint!(infallible "scenario::run");
-    if let Some(ctl) = ctl {
-        ctl.check(SimTime::ZERO)?;
-    }
+    ctl.check(SimTime::ZERO)?;
     // Whole-result memoization: simulation is pure in the scenario value
     // (seed included), so a completed result can be replayed verbatim. A
     // hit clones out of the shared Arc — byte-equal to the cold run that
@@ -176,7 +180,7 @@ fn run_inner(scenario: &Scenario, ctl: Option<&RunCtl>) -> Result<ScenarioResult
 
 /// The actual (uncached) scenario computation: trace → workload →
 /// schedule → carbon accounting.
-fn compute_scenario(scenario: &Scenario, ctl: Option<&RunCtl>) -> Result<ScenarioResult, SimError> {
+fn compute_scenario(scenario: &Scenario, ctl: &RunCtl) -> Result<ScenarioResult, SimError> {
     // Served from the process-wide trace cache: every point of a sweep
     // that shares this (region, days, seed) window reuses one trace.
     let trace = generate_calibrated_arc(&scenario.region, scenario.days, scenario.seed);
@@ -200,11 +204,7 @@ fn compute_scenario(scenario: &Scenario, ctl: Option<&RunCtl>) -> Result<Scenari
         tick: SimDuration::from_hours(1.0),
         max_steps: 50_000_000,
     };
-    let outcome = match ctl {
-        Some(ctl) => simulate_with_ctl(&jobs, &cfg, ctl)?,
-        // No control: the event loop skips cancellation checks entirely.
-        None => simulate(&jobs, &cfg),
-    };
+    let outcome = simulate_with_ctl(&jobs, &cfg, ctl)?;
 
     let detector = GreenDetector::default();
     let profiles: Vec<JobCarbonProfile> = outcome
@@ -238,23 +238,6 @@ fn compute_scenario(scenario: &Scenario, ctl: Option<&RunCtl>) -> Result<Scenari
         facility_carbon,
         grid_mean_ci,
     })
-}
-
-/// Validated [`run`]: checks the scenario's whole configuration tree up
-/// front and returns a typed [`SimError`] instead of panicking deep in
-/// the stack. Prefer this at program boundaries (CLI flags, config
-/// files); [`run`] remains the zero-overhead path for trusted,
-/// already-validated scenarios.
-pub fn try_run(scenario: &Scenario) -> Result<ScenarioResult, SimError> {
-    scenario.validate()?;
-    Ok(run(scenario))
-}
-
-/// [`try_run`] with a cancellation control: validates up front, then
-/// runs under `ctl` like [`run_with_ctl`].
-pub fn try_run_with_ctl(scenario: &Scenario, ctl: &RunCtl) -> Result<ScenarioResult, SimError> {
-    scenario.validate()?;
-    run_with_ctl(scenario, ctl)
 }
 
 #[cfg(test)]
@@ -294,11 +277,11 @@ mod tests {
             s.days = 3;
             s
         };
-        assert!(try_run(&ok).is_ok());
+        assert!(try_run(&ok, &RunCtl::unlimited()).is_ok());
 
         let mut zero_days = small_scenario();
         zero_days.days = 0;
-        let err = try_run(&zero_days).unwrap_err();
+        let err = try_run(&zero_days, &RunCtl::unlimited()).unwrap_err();
         assert!(err.to_string().contains("Scenario.days"), "{err}");
 
         // Cluster::new(0) asserts; a deserialized config could still
@@ -308,11 +291,11 @@ mod tests {
             nodes: 0,
             idle_node_power: sustain_sim_core::units::Power::ZERO,
         };
-        assert!(try_run(&empty_cluster).is_err());
+        assert!(try_run(&empty_cluster, &RunCtl::unlimited()).is_err());
 
         let mut bad_workload = small_scenario();
         bad_workload.workload.arrivals_per_hour = f64::NAN;
-        let err = try_run(&bad_workload).unwrap_err();
+        let err = try_run(&bad_workload, &RunCtl::unlimited()).unwrap_err();
         assert!(err.to_string().contains("arrivals_per_hour"), "{err}");
 
         let mut one_day_synoptic = small_scenario();
@@ -321,7 +304,7 @@ mod tests {
             one_day_synoptic.region.synoptic_std > 0.0,
             "profile must exercise the calibration guard"
         );
-        assert!(try_run(&one_day_synoptic).is_err());
+        assert!(try_run(&one_day_synoptic, &RunCtl::unlimited()).is_err());
     }
 
     #[test]
@@ -360,14 +343,14 @@ mod tests {
 
     #[test]
     fn cancelled_runs_are_never_cached() {
-        use sustain_sim_core::ctl::{CancelToken, RunCtl};
+        use sustain_sim_core::ctl::CancelToken;
         let mut s = small_scenario();
         s.days = 3;
         s.seed = 0xCAFE_0003;
         let token = CancelToken::new();
         token.cancel("pre-cancelled");
         let ctl = RunCtl::unlimited().with_token(token);
-        let err = run_with_ctl(&s, &ctl).unwrap_err();
+        let err = try_run(&s, &ctl).unwrap_err();
         assert!(matches!(err, SimError::Cancelled { .. }));
         let key = OutcomeKey::new(&s);
         assert!(

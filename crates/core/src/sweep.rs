@@ -2,29 +2,25 @@
 //!
 //! Every experiment in this workspace is a *sweep*: a list of points
 //! (thresholds, regions, policies, years, …) mapped independently to
-//! result rows. This module provides the single implementation behind
-//! all of them:
+//! result rows. This module has two drivers:
 //!
 //! * [`sweep`] fans the points out over the Rayon thread pool. The
 //!   pool's `collect` reassembles results in input order, so a parallel
 //!   sweep is **bit-for-bit identical** to a serial run regardless of
 //!   thread count (asserted in `tests/sweep_determinism.rs`).
-//! * [`sweep_seeded`] additionally derives one deterministic sub-seed
-//!   per point from a master seed — a SplitMix-seeded xoshiro stream
-//!   from [`sustain_sim_core::rng`], keyed by the point index — for
-//!   experiments whose points need independent randomness. The
-//!   derivation is pre-computed serially, so the seed a point receives
-//!   never depends on scheduling.
-//! * [`try_sweep_retry_with_ctl`] / [`try_sweep_resumable_retry`] add
-//!   the self-healing layer (DESIGN.md §11): transiently-failed points
-//!   re-execute under a deterministic [`RetryPolicy`], and points that
-//!   exhaust their attempts are quarantined as journal tombstones so a
-//!   resume never re-runs known-poison work unless `--retry-failed`
-//!   asks it to.
-//! * [`calibrated_trace`] resolves a `(region profile, days, seed)` key
-//!   through the process-wide [`TraceCache`], so a sweep whose points
-//!   share a grid window synthesizes and calibrates that trace exactly
-//!   once instead of once per point.
+//! * [`try_sweep`] is the one fallible execution path. A [`SweepSpec`]
+//!   picks its modes: every point receives a deterministic sub-seed
+//!   derived from a master seed ([`point_seed`]), runs inside a fault
+//!   boundary (a panic becomes a typed per-point error) under a
+//!   cancellation control, and optionally retries transient failures
+//!   (DESIGN.md §11), collapses duplicate points (memoization), and
+//!   checkpoints to a crash-resumable journal whose quarantine
+//!   tombstones keep known-poison points from re-running.
+//!
+//! [`calibrated_trace`] resolves a `(region profile, days, seed)` key
+//! through the process-wide [`TraceCache`], so a sweep whose points
+//! share a grid window synthesizes and calibrates that trace exactly
+//! once instead of once per point.
 //!
 //! The worker thread count is controlled by [`set_threads`] (the CLI's
 //! `--threads` flag) or the [`THREADS_ENV`] environment variable; `0`
@@ -32,21 +28,19 @@
 //!
 //! That count is a single **process-wide worker budget**, not a
 //! per-call-site pool size: every parallel pipeline (the sweep fan-out
-//! here, the speculative planning pass inside `scheduler::sim`) leases
-//! spare workers from the same budget and runs inline when none are
-//! left. A sweep of N scenarios that each trigger in-scenario
-//! parallelism therefore never runs more than the budgeted number of
-//! worker threads — nesting degrades to serial execution instead of
-//! oversubscribing the host (asserted in the vendored `rayon` shim's
+//! here, and the service's request workers) leases spare workers from
+//! the same budget and runs inline when none are left. Nested pipelines
+//! therefore never run more than the budgeted number of worker threads
+//! — nesting degrades to serial execution instead of oversubscribing
+//! the host (asserted in the vendored `rayon` shim's
 //! `nested_pipelines_share_the_budget_and_stay_ordered` test).
 
-use serde::{Deserialize, Serialize, Value};
+use serde::{DeError, Deserialize, Serialize, Value};
 use std::collections::HashMap;
 use std::fs::File;
 use std::io::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use sustain_grid::region::RegionProfile;
 use sustain_grid::synth::generate_calibrated_arc;
@@ -137,7 +131,7 @@ where
     points.par_iter().map(f).collect()
 }
 
-/// The deterministic sub-seed [`sweep_seeded`] hands to point `index`
+/// The deterministic sub-seed [`try_sweep`] hands to point `index`
 /// under `master_seed`. Exposed so tests and callers that unroll a
 /// sweep manually can reproduce the exact per-point seeds.
 pub fn point_seed(master_seed: u64, index: u64) -> u64 {
@@ -145,29 +139,8 @@ pub fn point_seed(master_seed: u64, index: u64) -> u64 {
     rand::RngCore::next_u64(&mut stream)
 }
 
-/// Like [`sweep`], but each point also receives an independent
-/// deterministic sub-seed derived from `master_seed` and its index
-/// (see [`point_seed`]). Use this for sweeps whose points must draw
-/// *different* randomness; sweeps that deliberately share one master
-/// seed across points (paired comparisons) should keep passing it
-/// through [`sweep`] unchanged.
-pub fn sweep_seeded<P, R, F>(master_seed: u64, points: &[P], f: F) -> Vec<R>
-where
-    P: Sync,
-    R: Send,
-    F: Fn(&P, u64) -> R + Sync,
-{
-    let seeds: Vec<u64> = (0..points.len() as u64)
-        .map(|i| point_seed(master_seed, i))
-        .collect();
-    (0..points.len())
-        .into_par_iter()
-        .map(|i| f(&points[i], seeds[i]))
-        .collect()
-}
-
-/// Structured failure of one sweep point, produced by [`try_sweep`] /
-/// [`try_sweep_seeded`] when the point's closure panics.
+/// Structured failure of one sweep point whose closure panicked; the
+/// fault boundary of [`try_sweep`] reports it as a [`SimError`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PointError {
     /// Index of the failed point in the input slice.
@@ -206,57 +179,6 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Fault-isolated [`sweep`]: each point runs inside
-/// `catch_unwind(AssertUnwindSafe(..))`, so one poisoned point yields a
-/// per-point [`PointError`] while every other point completes. Results
-/// come back in input order (same order-preserving pool as [`sweep`]),
-/// so a run with no failing points is bit-for-bit identical to
-/// `sweep(points, f).into_iter().map(Ok).collect()`.
-///
-/// The default panic hook still prints the panic message of a caught
-/// point to stderr; install a quiet hook if that noise matters.
-pub fn try_sweep<P, R, F>(points: &[P], f: F) -> Vec<Result<R, PointError>>
-where
-    P: Sync,
-    R: Send,
-    F: Fn(&P) -> R + Sync,
-{
-    (0..points.len())
-        .into_par_iter()
-        .map(|index| {
-            catch_unwind(AssertUnwindSafe(|| f(&points[index]))).map_err(|payload| PointError {
-                index,
-                message: panic_message(payload),
-            })
-        })
-        .collect()
-}
-
-/// Fault-isolated [`sweep_seeded`]: per-point deterministic sub-seeds
-/// (identical to [`sweep_seeded`]'s, see [`point_seed`]) plus the
-/// per-point panic isolation of [`try_sweep`].
-pub fn try_sweep_seeded<P, R, F>(master_seed: u64, points: &[P], f: F) -> Vec<Result<R, PointError>>
-where
-    P: Sync,
-    R: Send,
-    F: Fn(&P, u64) -> R + Sync,
-{
-    let seeds: Vec<u64> = (0..points.len() as u64)
-        .map(|i| point_seed(master_seed, i))
-        .collect();
-    (0..points.len())
-        .into_par_iter()
-        .map(|index| {
-            catch_unwind(AssertUnwindSafe(|| f(&points[index], seeds[index]))).map_err(|payload| {
-                PointError {
-                    index,
-                    message: panic_message(payload),
-                }
-            })
-        })
-        .collect()
-}
-
 /// Runs one point body under the sweep's fault boundary: the
 /// `sweep::point` fault site, then `catch_unwind` so a panic (organic
 /// or injected) becomes a typed [`SimError::Faulted`] for this point
@@ -274,6 +196,21 @@ fn run_point<R>(index: usize, body: impl FnOnce() -> Result<R, SimError>) -> Res
     }
 }
 
+/// Runs a journal operation inside its own fault boundary: an injected
+/// (or organic) panic while reading or appending the journal surfaces
+/// as a typed error, never as an unwind out of the sweep.
+fn journal_guarded<T>(
+    action: &str,
+    body: impl FnOnce() -> Result<T, SimError>,
+) -> Result<T, SimError> {
+    catch_unwind(AssertUnwindSafe(body)).unwrap_or_else(|payload| {
+        Err(journal_io_error(
+            &format!("{action} panicked"),
+            panic_message(payload),
+        ))
+    })
+}
+
 /// Builds the outer [`SimError::Cancelled`] for a cancelled sweep,
 /// appending partial-progress stats to the reason. `at_sim_time` is
 /// zero: the sweep clock, not any single point's simulation clock.
@@ -284,61 +221,8 @@ fn sweep_cancelled(reason: String, completed: usize, total: usize) -> SimError {
     }
 }
 
-/// Cancellable [`try_sweep_seeded`]: per-point deterministic sub-seeds
-/// and fault isolation, plus a cooperative cancellation control checked
-/// before every point (points already in flight finish or observe `ctl`
-/// themselves via the bucket checks inside the simulation loop).
-///
-/// The closure is fallible so each point can propagate its own typed
-/// [`SimError`] (a per-point cancellation, a validation failure) into
-/// its slot; panics are still caught and become
-/// [`SimError::Faulted`]. On cancellation the whole call returns
-/// [`SimError::Cancelled`] whose reason carries how many points
-/// completed. With an unlimited control and no failures this is
-/// bit-for-bit `try_sweep_seeded` modulo the error type.
-pub fn try_sweep_seeded_with_ctl<P, R, F>(
-    master_seed: u64,
-    points: &[P],
-    ctl: &RunCtl,
-    f: F,
-) -> Result<Vec<Result<R, SimError>>, SimError>
-where
-    P: Sync,
-    R: Send,
-    F: Fn(&P, u64) -> Result<R, SimError> + Sync,
-{
-    let seeds: Vec<u64> = (0..points.len() as u64)
-        .map(|i| point_seed(master_seed, i))
-        .collect();
-    let completed = AtomicUsize::new(0);
-    let results: Vec<Result<R, SimError>> = (0..points.len())
-        .into_par_iter()
-        .map(|index| {
-            if let Some(reason) = ctl.cancelled_reason() {
-                return Err(SimError::Cancelled {
-                    at_sim_time: SimTime::ZERO,
-                    reason,
-                });
-            }
-            let result = run_point(index, || f(&points[index], seeds[index]));
-            if result.is_ok() {
-                completed.fetch_add(1, Ordering::Relaxed);
-            }
-            result
-        })
-        .collect();
-    match ctl.cancelled_reason() {
-        Some(reason) => Err(sweep_cancelled(
-            reason,
-            completed.load(Ordering::Relaxed),
-            points.len(),
-        )),
-        None => Ok(results),
-    }
-}
-
-/// One point's outcome from a retrying sweep driver: the final result
-/// plus how many attempts it took to get there.
+/// One point's outcome from [`try_sweep`]: the final result plus how
+/// many attempts it took to get there.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PointRun<R> {
     /// The point's final result after retries (the last error when the
@@ -350,75 +234,260 @@ pub struct PointRun<R> {
     pub attempts: usize,
 }
 
-/// Self-healing [`try_sweep_seeded_with_ctl`]: each point runs under
-/// `policy`, re-executing [`sustain_sim_core::error::Transience::Transient`]
-/// failures (injected faults, caught panics) with deterministic
-/// backoff jittered from the point's own derived seed — so the retry
-/// schedule, like the results, replays bit-for-bit.
+/// How [`try_sweep`] runs its points. [`SweepSpec::new`] is the plain
+/// mode — derived seeds, fault isolation, cancellation, one attempt per
+/// point — and each remaining field switches on one more mechanism.
+pub struct SweepSpec<'a, R> {
+    /// Master seed: point `i` receives [`point_seed`]`(seed, i)`.
+    pub seed: u64,
+    /// Cancellation control, checked before every attempt (points in
+    /// flight also observe it inside the simulation loop). On
+    /// cancellation the whole sweep returns [`SimError::Cancelled`]
+    /// whose reason carries how many points completed.
+    pub ctl: &'a RunCtl,
+    /// Re-executes [`sustain_sim_core::error::Transience::Transient`]
+    /// failures (injected faults, caught panics) under this policy,
+    /// with backoff jittered from the point's own seed, so the retry
+    /// schedule replays bit-for-bit like the results do. Point
+    /// functions are pure in `(point, seed)`, so a healed point is
+    /// byte-identical to a first-try success. With a journal, a point
+    /// that still fails is quarantined as a tombstone. `None` = one
+    /// attempt, no tombstones.
+    pub retry: Option<RetryPolicy>,
+    /// Content-addressed dedupe: points with equal [`CanonicalHash`]
+    /// fingerprints run once (the first occurrence), and every
+    /// duplicate receives a clone of that run, failures included. Only
+    /// sound when the point value is the whole input — the closure
+    /// must ignore its seed argument, as `service::sweep_scenarios`
+    /// does by baking each seed into the scenario.
+    pub memo: bool,
+    /// Crash-resumable checkpoint journal (see [`Journal`]).
+    pub journal: Option<Journal<'a, R>>,
+}
+
+impl<'a, R> SweepSpec<'a, R> {
+    /// The plain mode: no retry, no memo, no journal.
+    pub fn new(seed: u64, ctl: &'a RunCtl) -> SweepSpec<'a, R> {
+        SweepSpec {
+            seed,
+            ctl,
+            retry: None,
+            memo: false,
+            journal: None,
+        }
+    }
+}
+
+/// The checkpoint journal of a [`try_sweep`]: an fsync'd JSON-lines
+/// file with one record per finished point (index, derived seed, body
+/// hash, and the row or a quarantine tombstone).
 ///
-/// Because point functions are pure in `(point, seed)` — the same
-/// contract the memoization layer's canonical-hash dedup relies on — a
-/// successful retry is byte-identical to a first-try success: with all
-/// faults transient and enough attempts, the output equals the
-/// fault-free run's exactly (asserted in `tests/self_healing.rs`).
+/// Points already in the journal are **replayed instead of re-run**, so
+/// a sweep killed mid-run and restarted with the same journal produces
+/// byte-identical results to an uninterrupted run (asserted by the
+/// kill-and-resume test in `tests/sweep_resume.rs`). Replayed rows
+/// come back with `attempts == 0`; replayed tombstones surface their
+/// recorded error and attempt count without re-running, unless
+/// `retry_failed` (the CLI's `sweep --retry-failed`) re-runs them —
+/// their fresh outcome is appended after the tombstone and supersedes
+/// it on the next replay. Cancelled points are never journaled.
 ///
-/// `ctl` is honored between attempts and mid-backoff; `Cancelled` and
-/// permanent errors are never retried. Per-point attempt counts come
-/// back in [`PointRun`].
-pub fn try_sweep_retry_with_ctl<P, R, F>(
-    master_seed: u64,
+/// Every line is validated against this sweep's derived seeds and
+/// body hashes: a journal from a different sweep, or a corrupted
+/// line, is a typed [`ConfigError`] rather than silent wrong results.
+/// The one exception is a torn final line (no trailing newline: a
+/// crash mid-append), which is truncated away and its point re-run.
+pub struct Journal<'a, R> {
+    path: &'a Path,
+    retry_failed: bool,
+    encode: fn(&R) -> Value,
+    decode: fn(&Value) -> Result<R, DeError>,
+}
+
+impl<'a, R: Serialize + Deserialize> Journal<'a, R> {
+    /// A journal at `path`; `retry_failed` re-runs tombstoned points.
+    pub fn new(path: &'a Path, retry_failed: bool) -> Journal<'a, R> {
+        Journal {
+            path,
+            retry_failed,
+            encode: R::to_value,
+            decode: R::from_value,
+        }
+    }
+}
+
+impl<R> Journal<'_, R> {
+    /// Replays the journal into `slots` (rows, and tombstones unless
+    /// `retry_failed`), drops a torn tail, and opens the file for
+    /// appending.
+    fn open(
+        &self,
+        seeds: &[u64],
+        slots: &mut [Option<PointRun<R>>],
+    ) -> Result<Mutex<File>, SimError> {
+        let (replayed, valid_bytes) = journal_guarded("journal replay", || {
+            replay_journal(self.path, seeds, self.decode)
+        })?;
+        // A torn final line is re-run, so drop it from the file before
+        // appending: otherwise a *second* crash-and-resume would find
+        // the torn line mid-file and reject the journal as corrupted.
+        match std::fs::metadata(self.path) {
+            Ok(meta) if meta.len() > valid_bytes => {
+                let file = std::fs::OpenOptions::new()
+                    .write(true)
+                    .open(self.path)
+                    .map_err(|e| journal_io_error("opening journal to drop a torn tail", e))?;
+                file.set_len(valid_bytes)
+                    .map_err(|e| journal_io_error("truncating a torn journal tail", e))?;
+                file.sync_data()
+                    .map_err(|e| journal_io_error("fsyncing a truncated journal", e))?;
+            }
+            _ => {}
+        }
+        for (slot, replayed) in slots.iter_mut().zip(replayed) {
+            *slot = match replayed {
+                Some(ReplayedSlot::Row(row)) => Some(PointRun {
+                    result: Ok(row),
+                    attempts: 0,
+                }),
+                Some(ReplayedSlot::Tombstone { error, attempts }) if !self.retry_failed => {
+                    retry::note_tombstone_skip();
+                    Some(PointRun {
+                        result: Err(error),
+                        attempts,
+                    })
+                }
+                _ => None,
+            };
+        }
+        let file = std::fs::OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(self.path)
+            .map_err(|e| journal_io_error("opening journal", e))?;
+        Ok(Mutex::new(file))
+    }
+}
+
+/// The fallible sweep driver: maps every point through `f(point,
+/// derived seed)` in parallel, in input order, under the modes `spec`
+/// selects (see [`SweepSpec`]). Seed derivation, journal replay, memo
+/// dedupe, the fault boundary, retry, tombstoning and cancellation
+/// accounting each happen here and nowhere else.
+///
+/// `f` is fallible so each point can put its own typed [`SimError`]
+/// (a per-point cancellation, a validation failure) into its slot;
+/// panics are caught and become [`SimError::Faulted`]. The outer
+/// `Err` is reserved for a cancelled sweep and for journal I/O
+/// failures. With no failures every mode returns the same rows as
+/// [`sweep`].
+pub fn try_sweep<P, R, F>(
+    spec: &SweepSpec<'_, R>,
     points: &[P],
-    ctl: &RunCtl,
-    policy: &RetryPolicy,
     f: F,
 ) -> Result<Vec<PointRun<R>>, SimError>
 where
-    P: Sync,
-    R: Send,
+    P: Sync + CanonicalHash,
+    R: Send + Clone,
     F: Fn(&P, u64) -> Result<R, SimError> + Sync,
 {
     let seeds: Vec<u64> = (0..points.len() as u64)
-        .map(|i| point_seed(master_seed, i))
+        .map(|i| point_seed(spec.seed, i))
         .collect();
-    let completed = AtomicUsize::new(0);
-    let runs: Vec<PointRun<R>> = (0..points.len())
-        .into_par_iter()
-        .map(|index| {
-            let (result, attempts) = retry::run_with_retry(policy, seeds[index], ctl, || {
-                run_point(index, || f(&points[index], seeds[index]))
-            });
-            if result.is_ok() {
-                completed.fetch_add(1, Ordering::Relaxed);
+    let mut slots: Vec<Option<PointRun<R>>> = (0..points.len()).map(|_| None).collect();
+    let journal = match &spec.journal {
+        Some(journal) => Some((journal, journal.open(&seeds, &mut slots)?)),
+        None => None,
+    };
+
+    // Points still to run; under memo only the first of each
+    // fingerprint, its duplicates remembered as (duplicate, first).
+    let mut fresh_points: Vec<usize> = Vec::new();
+    let mut duplicates: Vec<(usize, usize)> = Vec::new();
+    let mut first_of: HashMap<u64, usize> = HashMap::new();
+    for index in (0..points.len()).filter(|&i| slots[i].is_none()) {
+        if spec.memo {
+            let first = *first_of
+                .entry(points[index].canonical_hash())
+                .or_insert(index);
+            if first != index {
+                duplicates.push((index, first));
+                continue;
             }
-            PointRun { result, attempts }
+        }
+        fresh_points.push(index);
+    }
+
+    let policy = spec.retry.clone().unwrap_or_else(RetryPolicy::none);
+    let journal_failure: Mutex<Option<SimError>> = Mutex::new(None);
+    let fresh: Vec<(usize, PointRun<R>)> = fresh_points
+        .par_iter()
+        .map(|&index| {
+            let seed = seeds[index];
+            let (result, attempts) = retry::run_with_retry(&policy, seed, spec.ctl, || {
+                run_point(index, || f(&points[index], seed))
+            });
+            if let Some((journal, file)) = &journal {
+                let record = match &result {
+                    Ok(row) => Some(("payload", (journal.encode)(row), None)),
+                    // A shutdown mid-sweep must not quarantine healthy
+                    // work, and without retry a failure is not final.
+                    Err(SimError::Cancelled { .. }) => None,
+                    Err(_) if spec.retry.is_none() => None,
+                    Err(terminal) => {
+                        retry::note_quarantine();
+                        Some(("tombstone", terminal.to_value(), Some(attempts)))
+                    }
+                };
+                if let Some((key, body, recorded_attempts)) = record {
+                    let appended = journal_guarded("journal append", || {
+                        append_journal_record(file, index, seed, key, body, recorded_attempts)
+                    });
+                    if let Err(e) = appended {
+                        journal_failure
+                            .lock()
+                            .unwrap_or_else(|poisoned| poisoned.into_inner())
+                            .get_or_insert(e);
+                    }
+                }
+            }
+            (index, PointRun { result, attempts })
         })
         .collect();
-    match ctl.cancelled_reason() {
-        Some(reason) => Err(sweep_cancelled(
-            reason,
-            completed.load(Ordering::Relaxed),
-            points.len(),
-        )),
+
+    if let Some(e) = journal_failure
+        .into_inner()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+    {
+        return Err(e);
+    }
+    for (index, run) in fresh {
+        slots[index] = Some(run);
+    }
+    for (duplicate, first) in duplicates {
+        slots[duplicate] = slots[first].clone();
+    }
+    let runs: Vec<PointRun<R>> = slots
+        .into_iter()
+        .map(|slot| {
+            slot.unwrap_or_else(|| {
+                unreachable!("every sweep point is replayed, skipped, copied, or freshly run")
+            })
+        })
+        .collect();
+    match spec.ctl.cancelled_reason() {
+        Some(reason) => {
+            let completed = runs.iter().filter(|run| run.result.is_ok()).count();
+            Err(sweep_cancelled(reason, completed, points.len()))
+        }
         None => Ok(runs),
     }
 }
 
-/// Content-addressed variant of [`try_sweep_seeded_with_ctl`] for pure
-/// point functions: duplicate points collapse to one computation.
-///
-/// The driver fingerprints every point with [`CanonicalHash`] up front,
-/// computes only the first occurrence of each distinct fingerprint (in
-/// parallel, with the same `sweep::point` fault boundary and per-point
-/// cancellation checks), then fans each result back out to every slot
-/// that shares the fingerprint — output order is exactly input order,
-/// and unique points produce bit-identical results to the non-memo
-/// driver.
-///
-/// Unlike the seeded drivers, `f` receives **no** per-point sub-seed:
-/// deduplicating by content is only sound when the point value is the
-/// entire input (any seed must already be baked into `P`, as
-/// `service::sweep_scenarios` does). Duplicate slots of a *failed*
-/// representative share its error verbatim.
+/// The memo mode of [`try_sweep`] with a zero master seed and bare
+/// per-point results. Kept with this exact signature because the
+/// service benchmark (`svcbench/`) calls it; new code should call
+/// [`try_sweep`] directly.
 pub fn try_sweep_memo_with_ctl<P, R, F>(
     points: &[P],
     ctl: &RunCtl,
@@ -429,49 +498,12 @@ where
     R: Send + Clone,
     F: Fn(&P) -> Result<R, SimError> + Sync,
 {
-    // Fingerprint serially (hashing is trivial next to a point run) and
-    // pick the first slot of each distinct fingerprint as representative.
-    let fingerprints: Vec<u64> = points.iter().map(|p| p.canonical_hash()).collect();
-    let mut representative: HashMap<u64, usize> = HashMap::new();
-    let mut unique: Vec<usize> = Vec::new();
-    for (index, &fp) in fingerprints.iter().enumerate() {
-        representative.entry(fp).or_insert_with(|| {
-            unique.push(index);
-            index
-        });
-    }
-
-    let unique_results: Vec<Result<R, SimError>> = unique
-        .par_iter()
-        .map(|&index| {
-            if let Some(reason) = ctl.cancelled_reason() {
-                return Err(SimError::Cancelled {
-                    at_sim_time: SimTime::ZERO,
-                    reason,
-                });
-            }
-            run_point(index, || f(&points[index]))
-        })
-        .collect();
-    let by_rep: HashMap<usize, &Result<R, SimError>> =
-        unique.iter().copied().zip(unique_results.iter()).collect();
-
-    // Fan back out in input order; duplicates clone their representative.
-    let results: Vec<Result<R, SimError>> = fingerprints
-        .iter()
-        .map(|fp| {
-            let rep = representative[fp];
-            // Every representative is in the map by construction.
-            by_rep[&rep].clone()
-        })
-        .collect();
-    match ctl.cancelled_reason() {
-        Some(reason) => {
-            let completed = results.iter().filter(|r| r.is_ok()).count();
-            Err(sweep_cancelled(reason, completed, points.len()))
-        }
-        None => Ok(results),
-    }
+    let spec = SweepSpec {
+        memo: true,
+        ..SweepSpec::new(0, ctl)
+    };
+    try_sweep(&spec, points, |point, _| f(point))
+        .map(|runs| runs.into_iter().map(|run| run.result).collect())
 }
 
 // ---------------------------------------------------------------------------
@@ -539,17 +571,6 @@ fn append_journal_record(
         .map_err(|e| journal_io_error("fsyncing journal", e))
 }
 
-/// Appends one completed point to the journal (see
-/// [`append_journal_record`]).
-fn append_journal_entry(
-    file: &Mutex<File>,
-    index: usize,
-    seed: u64,
-    payload: Value,
-) -> Result<(), SimError> {
-    append_journal_record(file, index, seed, "payload", payload, None)
-}
-
 /// What a validated journal line resolves to on replay.
 #[derive(Debug)]
 enum ReplayedSlot<R> {
@@ -565,18 +586,19 @@ enum ReplayedSlot<R> {
 /// validated identically — index range, derived-seed match, body hash —
 /// so a tombstone from a foreign journal is rejected exactly like a
 /// corrupt row.
-fn parse_journal_line<R: Deserialize>(
+fn parse_journal_line<R>(
     line: &str,
-    points_len: usize,
     seeds: &[u64],
+    decode: fn(&Value) -> Result<R, DeError>,
 ) -> Result<(usize, ReplayedSlot<R>), String> {
     let value: Value = serde_json::from_str(line).map_err(|e| format!("unparseable JSON: {e}"))?;
     let index = value["index"]
         .as_u64()
         .ok_or("missing or non-integer \"index\"")? as usize;
-    if index >= points_len {
+    if index >= seeds.len() {
         return Err(format!(
-            "point index {index} out of range for a {points_len}-point sweep"
+            "point index {index} out of range for a {}-point sweep",
+            seeds.len()
         ));
     }
     let seed = value["seed"]
@@ -610,7 +632,7 @@ fn parse_journal_line<R: Deserialize>(
             .ok_or("tombstone missing \"attempts\"")? as usize;
         return Ok((index, ReplayedSlot::Tombstone { error, attempts }));
     }
-    let row = R::from_value(body).map_err(|e| format!("payload at point {index}: {e:?}"))?;
+    let row = decode(body).map_err(|e| format!("payload at point {index}: {e:?}"))?;
     Ok((index, ReplayedSlot::Row(row)))
 }
 
@@ -618,50 +640,52 @@ fn parse_journal_line<R: Deserialize>(
 /// valid prefix (see [`replay_journal`]).
 type ReplayedJournal<R> = (Vec<Option<ReplayedSlot<R>>>, u64);
 
-/// Replays a checkpoint journal: `replayed[i] = Some(row)` for every
+/// Replays a checkpoint journal: `replayed[i] = Some(slot)` for every
 /// point with a valid journal line, plus the byte length of the valid
-/// prefix (everything up to and including the last parseable line). A
-/// missing file is an empty journal. The *final* line is allowed to be
-/// torn (a crash mid-append) and is simply re-run; any earlier
-/// malformed or mismatched line is a typed [`ConfigError`] — it means
-/// the journal belongs to a different sweep or was corrupted, and
-/// silently re-running would mask that.
-fn replay_journal<R: Deserialize>(
+/// prefix (everything up to and including the last valid line). A
+/// missing file is an empty journal. A final line without its trailing
+/// newline is torn (a crash mid-append) and is simply re-run; any other
+/// malformed or mismatched line — a complete final line included — is
+/// a typed [`ConfigError`]: it means the journal belongs to a different
+/// sweep or was corrupted, and silently re-running would mask that (and
+/// overwrite the foreign journal).
+fn replay_journal<R>(
     path: &Path,
-    points_len: usize,
     seeds: &[u64],
+    decode: fn(&Value) -> Result<R, DeError>,
 ) -> Result<ReplayedJournal<R>, SimError> {
     sustain_sim_core::faultpoint!("sweep::journal_replay").map_err(SimError::from)?;
-    let mut replayed: Vec<Option<ReplayedSlot<R>>> = (0..points_len).map(|_| None).collect();
+    let mut replayed: Vec<Option<ReplayedSlot<R>>> = (0..seeds.len()).map(|_| None).collect();
     let text = match std::fs::read_to_string(path) {
         Ok(text) => text,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok((replayed, 0)),
         Err(e) => return Err(journal_io_error("reading journal", e)),
     };
-    // Each non-blank line paired with the byte offset just past it, so
-    // the caller can truncate a torn tail before appending.
-    let mut lines: Vec<(u64, &str)> = Vec::new();
+    // Each non-blank line with the byte offset just past it (so the
+    // caller can truncate a torn tail before appending) and whether
+    // its newline made it to disk.
+    let mut lines: Vec<(u64, &str, bool)> = Vec::new();
     let mut offset = 0u64;
     for raw in text.split_inclusive('\n') {
         offset += raw.len() as u64;
         let line = raw.trim();
         if !line.is_empty() {
-            lines.push((offset, line));
+            lines.push((offset, line, raw.ends_with('\n')));
         }
     }
     let mut valid_bytes = 0u64;
-    for (pos, (end, line)) in lines.iter().enumerate() {
-        match parse_journal_line::<R>(line, points_len, seeds) {
+    for (pos, &(end, line, terminated)) in lines.iter().enumerate() {
+        match parse_journal_line(line, seeds, decode) {
             // Later lines supersede earlier ones: a point re-run under
             // `--retry-failed` appends its fresh outcome after its
             // tombstone, and the fresh outcome wins on the next replay.
             Ok((index, slot)) => {
                 replayed[index] = Some(slot);
-                valid_bytes = *end;
+                valid_bytes = end;
             }
             // A torn final line is the expected crash artifact; the
             // point simply re-runs (and the tail is truncated away).
-            Err(_) if pos + 1 == lines.len() => {}
+            Err(_) if pos + 1 == lines.len() && !terminated => {}
             Err(message) => {
                 return Err(SimError::Config(ConfigError::new(
                     "SweepJournal",
@@ -672,331 +696,6 @@ fn replay_journal<R: Deserialize>(
         }
     }
     Ok((replayed, valid_bytes))
-}
-
-/// Crash-resumable [`try_sweep_seeded_with_ctl`]: every completed point
-/// is appended to an fsync'd JSON-lines journal at `journal_path`
-/// (index, derived seed, payload hash, payload), and points already in
-/// the journal are **replayed instead of re-run** — so a sweep killed
-/// mid-run and restarted with the same journal produces byte-identical
-/// results to an uninterrupted run (asserted by the kill-and-resume
-/// test in `tests/sweep_resume.rs`).
-///
-/// Failed points are *not* journaled: a resume retries them (and a
-/// tombstone written by the quarantining driver
-/// [`try_sweep_resumable_retry`] is likewise re-run here, not
-/// honored). The journal is validated against this sweep's derived
-/// seeds and payload hashes; a journal from a different sweep is a
-/// typed [`ConfigError`], not silent wrong results.
-pub fn try_sweep_resumable<P, R, F>(
-    master_seed: u64,
-    points: &[P],
-    journal_path: &Path,
-    ctl: &RunCtl,
-    f: F,
-) -> Result<Vec<Result<R, SimError>>, SimError>
-where
-    P: Sync,
-    R: Send + Serialize + Deserialize,
-    F: Fn(&P, u64) -> Result<R, SimError> + Sync,
-{
-    let seeds: Vec<u64> = (0..points.len() as u64)
-        .map(|i| point_seed(master_seed, i))
-        .collect();
-    // Replay runs inside the same fault boundary as appends: an
-    // injected (or organic) panic while reading the journal must
-    // surface as a typed error, not an unwind out of the sweep.
-    let (replayed, valid_bytes) = catch_unwind(AssertUnwindSafe(|| {
-        replay_journal::<R>(journal_path, points.len(), &seeds)
-    }))
-    .unwrap_or_else(|payload| {
-        Err(journal_io_error(
-            "journal replay panicked",
-            panic_message(payload),
-        ))
-    })?;
-    // A torn final line (crash mid-append) is re-run, so drop it from
-    // the file before appending: otherwise a *second* crash-and-resume
-    // would find the torn line mid-file and reject the journal as
-    // corrupted.
-    match std::fs::metadata(journal_path) {
-        Ok(meta) if meta.len() > valid_bytes => {
-            let file = std::fs::OpenOptions::new()
-                .write(true)
-                .open(journal_path)
-                .map_err(|e| journal_io_error("opening journal to drop a torn tail", e))?;
-            file.set_len(valid_bytes)
-                .map_err(|e| journal_io_error("truncating a torn journal tail", e))?;
-            file.sync_data()
-                .map_err(|e| journal_io_error("fsyncing a truncated journal", e))?;
-        }
-        _ => {}
-    }
-    let missing: Vec<usize> = (0..points.len())
-        .filter(|&i| !matches!(replayed[i], Some(ReplayedSlot::Row(_))))
-        .collect();
-
-    let file = Mutex::new(
-        std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(journal_path)
-            .map_err(|e| journal_io_error("opening journal", e))?,
-    );
-    let journal_failure: Mutex<Option<SimError>> = Mutex::new(None);
-    let completed = AtomicUsize::new(points.len() - missing.len());
-
-    let fresh: Vec<(usize, Result<R, SimError>)> = missing
-        .par_iter()
-        .map(|&index| {
-            if let Some(reason) = ctl.cancelled_reason() {
-                return (
-                    index,
-                    Err(SimError::Cancelled {
-                        at_sim_time: SimTime::ZERO,
-                        reason,
-                    }),
-                );
-            }
-            let result = run_point(index, || f(&points[index], seeds[index]));
-            if let Ok(row) = &result {
-                completed.fetch_add(1, Ordering::Relaxed);
-                // Journal appends run inside their own fault boundary:
-                // an injected panic here must stay isolated too.
-                let appended = catch_unwind(AssertUnwindSafe(|| {
-                    append_journal_entry(&file, index, seeds[index], row.to_value())
-                }))
-                .unwrap_or_else(|payload| {
-                    Err(journal_io_error(
-                        "journal append panicked",
-                        panic_message(payload),
-                    ))
-                });
-                if let Err(e) = appended {
-                    let mut slot = journal_failure
-                        .lock()
-                        .unwrap_or_else(|poisoned| poisoned.into_inner());
-                    if slot.is_none() {
-                        *slot = Some(e);
-                    }
-                }
-            }
-            (index, result)
-        })
-        .collect();
-
-    if let Some(e) = journal_failure
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-        .take()
-    {
-        return Err(e);
-    }
-    if let Some(reason) = ctl.cancelled_reason() {
-        return Err(sweep_cancelled(
-            reason,
-            completed.load(Ordering::Relaxed),
-            points.len(),
-        ));
-    }
-
-    let mut slots: Vec<Option<Result<R, SimError>>> = replayed
-        .into_iter()
-        .map(|slot| match slot {
-            Some(ReplayedSlot::Row(row)) => Some(Ok(row)),
-            // Tombstones from the quarantining driver count as missing
-            // here: this driver's contract is "failed points re-run".
-            Some(ReplayedSlot::Tombstone { .. }) | None => None,
-        })
-        .collect();
-    for (index, result) in fresh {
-        slots[index] = Some(result);
-    }
-    Ok(slots
-        .into_iter()
-        .map(|slot| {
-            slot.unwrap_or_else(|| {
-                unreachable!("every sweep point is either replayed or freshly run")
-            })
-        })
-        .collect())
-}
-
-/// Self-healing, quarantining [`try_sweep_resumable`]: the resumable
-/// journal plus the retry layer plus **poison-point quarantine**.
-///
-/// Fresh points run under `policy` (transient failures re-execute with
-/// deterministic backoff, exactly as in [`try_sweep_retry_with_ctl`]).
-/// A point that *exhausts* its attempts — or fails permanently — is
-/// written to the journal as a hash-validated **tombstone** record
-/// carrying its terminal [`SimError`] and attempt count, so a resume
-/// skips known-poison work deterministically instead of re-running it
-/// forever. Passing `retry_failed = true` (the CLI's
-/// `sweep --retry-failed`) re-runs tombstoned points instead; their
-/// fresh outcome is appended after the tombstone and supersedes it on
-/// the next replay. `Cancelled` points are never journaled and never
-/// tombstoned: a shutdown mid-sweep must not quarantine healthy work.
-///
-/// Replayed successes come back with `attempts == 0`; skipped
-/// tombstones surface the recorded error with the recorded attempt
-/// count. Everything else about the journal contract (fsync'd
-/// JSON-lines, torn-tail tolerance and truncation, foreign-journal
-/// rejection as a typed [`ConfigError`]) is shared with
-/// [`try_sweep_resumable`].
-pub fn try_sweep_resumable_retry<P, R, F>(
-    master_seed: u64,
-    points: &[P],
-    journal_path: &Path,
-    ctl: &RunCtl,
-    policy: &RetryPolicy,
-    retry_failed: bool,
-    f: F,
-) -> Result<Vec<PointRun<R>>, SimError>
-where
-    P: Sync,
-    R: Send + Serialize + Deserialize,
-    F: Fn(&P, u64) -> Result<R, SimError> + Sync,
-{
-    let seeds: Vec<u64> = (0..points.len() as u64)
-        .map(|i| point_seed(master_seed, i))
-        .collect();
-    let (replayed, valid_bytes) = catch_unwind(AssertUnwindSafe(|| {
-        replay_journal::<R>(journal_path, points.len(), &seeds)
-    }))
-    .unwrap_or_else(|payload| {
-        Err(journal_io_error(
-            "journal replay panicked",
-            panic_message(payload),
-        ))
-    })?;
-    match std::fs::metadata(journal_path) {
-        Ok(meta) if meta.len() > valid_bytes => {
-            let file = std::fs::OpenOptions::new()
-                .write(true)
-                .open(journal_path)
-                .map_err(|e| journal_io_error("opening journal to drop a torn tail", e))?;
-            file.set_len(valid_bytes)
-                .map_err(|e| journal_io_error("truncating a torn journal tail", e))?;
-            file.sync_data()
-                .map_err(|e| journal_io_error("fsyncing a truncated journal", e))?;
-        }
-        _ => {}
-    }
-    let rerun = |slot: &Option<ReplayedSlot<R>>| match slot {
-        None => true,
-        Some(ReplayedSlot::Row(_)) => false,
-        Some(ReplayedSlot::Tombstone { .. }) => retry_failed,
-    };
-    let missing: Vec<usize> = (0..points.len()).filter(|&i| rerun(&replayed[i])).collect();
-
-    let file = Mutex::new(
-        std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(journal_path)
-            .map_err(|e| journal_io_error("opening journal", e))?,
-    );
-    let journal_failure: Mutex<Option<SimError>> = Mutex::new(None);
-    let completed = AtomicUsize::new(
-        replayed
-            .iter()
-            .filter(|slot| matches!(slot, Some(ReplayedSlot::Row(_))))
-            .count(),
-    );
-    let record_journal_failure = |e: SimError| {
-        let mut slot = journal_failure
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        if slot.is_none() {
-            *slot = Some(e);
-        }
-    };
-
-    let fresh: Vec<(usize, PointRun<R>)> = missing
-        .par_iter()
-        .map(|&index| {
-            let (result, attempts) = retry::run_with_retry(policy, seeds[index], ctl, || {
-                run_point(index, || f(&points[index], seeds[index]))
-            });
-            // Journal the terminal outcome — success row or quarantine
-            // tombstone — inside its own fault boundary. Cancellations
-            // are deliberately not journaled.
-            let record = match &result {
-                Ok(row) => {
-                    completed.fetch_add(1, Ordering::Relaxed);
-                    Some(("payload", row.to_value(), None))
-                }
-                Err(SimError::Cancelled { .. }) => None,
-                Err(terminal) => {
-                    retry::note_quarantine();
-                    Some(("tombstone", terminal.to_value(), Some(attempts)))
-                }
-            };
-            if let Some((key, body, recorded_attempts)) = record {
-                let appended = catch_unwind(AssertUnwindSafe(|| {
-                    append_journal_record(&file, index, seeds[index], key, body, recorded_attempts)
-                }))
-                .unwrap_or_else(|payload| {
-                    Err(journal_io_error(
-                        "journal append panicked",
-                        panic_message(payload),
-                    ))
-                });
-                if let Err(e) = appended {
-                    record_journal_failure(e);
-                }
-            }
-            (index, PointRun { result, attempts })
-        })
-        .collect();
-
-    if let Some(e) = journal_failure
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-        .take()
-    {
-        return Err(e);
-    }
-    if let Some(reason) = ctl.cancelled_reason() {
-        return Err(sweep_cancelled(
-            reason,
-            completed.load(Ordering::Relaxed),
-            points.len(),
-        ));
-    }
-
-    let mut slots: Vec<Option<PointRun<R>>> = replayed
-        .into_iter()
-        .map(|slot| match slot {
-            Some(ReplayedSlot::Row(row)) => Some(PointRun {
-                result: Ok(row),
-                attempts: 0,
-            }),
-            Some(ReplayedSlot::Tombstone { error, attempts }) => {
-                if retry_failed {
-                    None
-                } else {
-                    retry::note_tombstone_skip();
-                    Some(PointRun {
-                        result: Err(error),
-                        attempts,
-                    })
-                }
-            }
-            None => None,
-        })
-        .collect();
-    for (index, run) in fresh {
-        slots[index] = Some(run);
-    }
-    Ok(slots
-        .into_iter()
-        .map(|slot| {
-            slot.unwrap_or_else(|| {
-                unreachable!("every sweep point is replayed, skipped, or freshly run")
-            })
-        })
-        .collect())
 }
 
 /// Calibrated carbon trace for `(profile, days, seed)`, served from the
@@ -1013,7 +712,45 @@ pub fn calibrated_trace(profile: &RegionProfile, days: usize, seed: u64) -> Arc<
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use sustain_grid::region::Region;
+
+    /// Unwraps every point of a sweep that must succeed.
+    fn rows<R: std::fmt::Debug>(runs: Result<Vec<PointRun<R>>, SimError>) -> Vec<R> {
+        runs.expect("no outer failure")
+            .into_iter()
+            .map(|run| run.result.expect("point succeeds"))
+            .collect()
+    }
+
+    /// The bare per-point results of a sweep without an outer failure.
+    fn results<R>(runs: Result<Vec<PointRun<R>>, SimError>) -> Vec<Result<R, SimError>> {
+        runs.expect("no outer failure")
+            .into_iter()
+            .map(|run| run.result)
+            .collect()
+    }
+
+    fn journaled<'a, R: Serialize + Deserialize>(
+        seed: u64,
+        ctl: &'a RunCtl,
+        path: &'a Path,
+        retry: Option<RetryPolicy>,
+        retry_failed: bool,
+    ) -> SweepSpec<'a, R> {
+        SweepSpec {
+            retry,
+            journal: Some(Journal::new(path, retry_failed)),
+            ..SweepSpec::new(seed, ctl)
+        }
+    }
+
+    fn retrying<R>(seed: u64, ctl: &RunCtl, policy: RetryPolicy) -> SweepSpec<'_, R> {
+        SweepSpec {
+            retry: Some(policy),
+            ..SweepSpec::new(seed, ctl)
+        }
+    }
 
     #[test]
     fn sweep_matches_serial_map() {
@@ -1027,8 +764,16 @@ mod tests {
     #[test]
     fn sweep_seeded_is_deterministic_and_seeds_differ() {
         let points = ["a", "b", "c", "d"];
-        let first = sweep_seeded(42, &points, |p, seed| (p.to_string(), seed));
-        let second = sweep_seeded(42, &points, |p, seed| (p.to_string(), seed));
+        let ctl = RunCtl::unlimited();
+        let seeded = |master| {
+            rows(try_sweep(
+                &SweepSpec::new(master, &ctl),
+                &points,
+                |p, seed| Ok((p.to_string(), seed)),
+            ))
+        };
+        let first = seeded(42);
+        let second = seeded(42);
         assert_eq!(first, second);
         for (i, (label, seed)) in first.iter().enumerate() {
             assert_eq!(label, points[i]);
@@ -1038,13 +783,12 @@ mod tests {
         seeds.sort_unstable();
         seeds.dedup();
         assert_eq!(seeds.len(), points.len(), "per-point seeds must differ");
-        let other = sweep_seeded(43, &points, |_, seed| seed);
+        let other: Vec<u64> = seeded(43).into_iter().map(|(_, seed)| seed).collect();
         assert_ne!(other, first.iter().map(|(_, s)| *s).collect::<Vec<_>>());
     }
 
     #[test]
     fn memo_sweep_collapses_duplicates_and_preserves_order() {
-        use std::sync::atomic::AtomicUsize;
         let points: Vec<u64> = vec![3, 7, 3, 9, 7, 3];
         let ctl = RunCtl::unlimited();
         let computed = AtomicUsize::new(0);
@@ -1063,11 +807,10 @@ mod tests {
         let points: Vec<u64> = (0..33).collect();
         let ctl = RunCtl::unlimited();
         let memo = try_sweep_memo_with_ctl(&points, &ctl, |&x| Ok::<_, SimError>(x * 3)).unwrap();
-        let plain =
-            try_sweep_seeded_with_ctl(1, &points, &ctl, |&x, _seed| Ok::<_, SimError>(x * 3))
-                .unwrap();
+        let plain = rows(try_sweep(&SweepSpec::new(1, &ctl), &points, |&x, _seed| {
+            Ok::<_, SimError>(x * 3)
+        }));
         let memo: Vec<u64> = memo.into_iter().map(Result::unwrap).collect();
-        let plain: Vec<u64> = plain.into_iter().map(Result::unwrap).collect();
         assert_eq!(memo, plain);
     }
 
@@ -1093,48 +836,86 @@ mod tests {
     #[test]
     fn try_sweep_isolates_panicking_points() {
         let points: Vec<u64> = (0..9).collect();
-        let results = try_sweep(&points, |&x| {
+        let ctl = RunCtl::unlimited();
+        let results = results(try_sweep(&SweepSpec::new(0, &ctl), &points, |&x, _| {
             assert!(x != 4, "injected failure at four");
-            x * 10
-        });
+            Ok(x * 10)
+        }));
         assert_eq!(results.len(), points.len());
         for (i, r) in results.iter().enumerate() {
             if i == 4 {
-                let err = r.as_ref().unwrap_err();
-                assert_eq!(err.index, 4);
-                assert!(err.message.contains("injected failure"), "{err}");
+                match r.as_ref().unwrap_err() {
+                    SimError::Faulted { unit, message } => {
+                        assert_eq!(unit, "sweep point 4");
+                        assert!(message.contains("injected failure"), "{message}");
+                    }
+                    other => panic!("expected Faulted, got {other:?}"),
+                }
             } else {
                 assert_eq!(*r, Ok(i as u64 * 10));
             }
         }
     }
 
+    /// Every mode of [`try_sweep`] that a production caller uses
+    /// returns, on a fault-free run, rows byte-identical to [`sweep`]:
+    /// plain (the experiments' fallible path), memo (`POST /sweep` and
+    /// the CLI `sweep`), retry, and retry + journal (`sweep --journal`)
+    /// both on a fresh file and replayed from it.
     #[test]
     fn try_sweep_matches_sweep_when_nothing_panics() {
-        let points: Vec<u64> = (0..64).collect();
+        let points: Vec<u64> = (0..64).map(|x| x % 48).collect();
         let f = |&x: &u64| (x * x).wrapping_mul(0x9E37_79B9) as f64 / 7.0;
-        let plain = sweep(&points, f);
-        let tried = try_sweep(&points, f);
-        assert_eq!(
-            tried.into_iter().map(Result::unwrap).collect::<Vec<_>>(),
-            plain
-        );
+        let bytes = |rows: &[f64]| serde_json::to_string(rows).unwrap();
+        let plain = bytes(&sweep(&points, f));
+        let ctl = RunCtl::unlimited();
+        let policy = RetryPolicy::new(3, std::time::Duration::ZERO);
+        let path = temp_journal("modes");
+        std::fs::remove_file(&path).ok();
+        let memo = SweepSpec {
+            memo: true,
+            ..SweepSpec::new(7, &ctl)
+        };
+        let modes = [
+            ("plain", SweepSpec::new(7, &ctl)),
+            ("memo", memo),
+            ("retry", retrying(7, &ctl, policy.clone())),
+            (
+                "retry+journal fresh",
+                journaled(7, &ctl, &path, Some(policy.clone()), false),
+            ),
+            (
+                "retry+journal replayed",
+                journaled(7, &ctl, &path, Some(policy), false),
+            ),
+        ];
+        for (mode, spec) in &modes {
+            let tried = rows(try_sweep(spec, &points, |p, _| Ok(f(p))));
+            assert_eq!(bytes(&tried), plain, "{mode}");
+        }
+        let replayed = try_sweep(&modes[4].1, &points, |_, _| -> Result<f64, SimError> {
+            panic!("a complete journal re-runs nothing")
+        })
+        .expect("replay run");
+        assert!(replayed.iter().all(|run| run.attempts == 0));
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn try_sweep_seeded_uses_same_seeds_and_isolates() {
         let points = ["a", "b", "c"];
-        let results = try_sweep_seeded(42, &points, |p, seed| {
-            assert!(*p != "b", "poisoned point");
-            seed
-        });
+        let ctl = RunCtl::unlimited();
+        let run = || {
+            results(try_sweep(&SweepSpec::new(42, &ctl), &points, |p, seed| {
+                assert!(*p != "b", "poisoned point");
+                Ok(seed)
+            }))
+        };
+        let results = run();
         assert_eq!(results[0], Ok(point_seed(42, 0)));
         assert!(results[1].is_err());
         assert_eq!(results[2], Ok(point_seed(42, 2)));
-        let again = try_sweep_seeded(42, &points, |p, seed| {
-            assert!(*p != "b", "poisoned point");
-            seed
-        });
+        let again = run();
         assert_eq!(results, again, "fault isolation must stay deterministic");
     }
 
@@ -1173,12 +954,15 @@ mod tests {
     fn with_ctl_matches_try_sweep_seeded_when_unlimited() {
         let points: Vec<u64> = (0..16).collect();
         let ctl = RunCtl::unlimited();
-        let via_ctl = try_sweep_seeded_with_ctl(7, &points, &ctl, |&p, seed| Ok(p ^ seed))
-            .expect("unlimited ctl never cancels");
-        let plain = try_sweep_seeded(7, &points, |&p, seed| p ^ seed);
+        let via_ctl = rows(try_sweep(&SweepSpec::new(7, &ctl), &points, |&p, seed| {
+            Ok(p ^ seed)
+        }));
+        let plain: Vec<u64> = sweep(&(0..16u64).collect::<Vec<_>>(), |&i| {
+            points[i as usize] ^ point_seed(7, i)
+        });
         assert_eq!(via_ctl.len(), plain.len());
         for (a, b) in via_ctl.iter().zip(plain.iter()) {
-            assert_eq!(a.as_ref().unwrap(), b.as_ref().unwrap());
+            assert_eq!(a, b);
         }
     }
 
@@ -1189,7 +973,7 @@ mod tests {
         let token = CancelToken::new();
         token.cancel("shutdown requested");
         let ctl = RunCtl::unlimited().with_token(token);
-        let err = try_sweep_seeded_with_ctl(7, &points, &ctl, |&p, _| Ok(p)).unwrap_err();
+        let err = try_sweep(&SweepSpec::new(7, &ctl), &points, |&p, _| Ok(p)).unwrap_err();
         match &err {
             SimError::Cancelled { reason, .. } => {
                 assert!(reason.contains("shutdown requested"), "{reason}");
@@ -1203,14 +987,13 @@ mod tests {
     fn with_ctl_isolates_panics_and_typed_errors_per_point() {
         let points: Vec<u64> = (0..5).collect();
         let ctl = RunCtl::unlimited();
-        let results = try_sweep_seeded_with_ctl(7, &points, &ctl, |&p, _| {
+        let results = results(try_sweep(&SweepSpec::new(7, &ctl), &points, |&p, _| {
             assert!(p != 1, "injected panic");
             if p == 3 {
                 return Err(SimError::invalid_input("point three rejected"));
             }
             Ok(p)
-        })
-        .expect("no outer cancellation");
+        }));
         assert_eq!(results[0], Ok(0));
         assert!(matches!(&results[1], Err(SimError::Faulted { .. })));
         assert_eq!(results[2], Ok(2));
@@ -1231,8 +1014,9 @@ mod tests {
         std::fs::remove_file(&path).ok();
         let points: Vec<u64> = (0..6).collect();
         let ctl = RunCtl::unlimited();
+        let spec = journaled(11, &ctl, &path, None, false);
         let f = |&p: &u64, seed: u64| Ok((p as f64 + 0.125) * (seed % 97) as f64 / 7.0);
-        let first = try_sweep_resumable(11, &points, &path, &ctl, f).expect("first run");
+        let first = rows(try_sweep(&spec, &points, f));
         let journal = std::fs::read_to_string(&path).expect("journal exists");
         assert_eq!(journal.lines().count(), points.len());
         for line in journal.lines() {
@@ -1242,30 +1026,15 @@ mod tests {
         }
         // Second run replays every point: same values, nothing re-run
         // (the closure would panic if called again).
-        let replayed = try_sweep_resumable(
-            11,
+        let replayed = rows(try_sweep(
+            &spec,
             &points,
-            &path,
-            &ctl,
             |_: &u64, _| -> Result<f64, SimError> {
                 panic!("no point should re-run from a complete journal")
             },
-        )
-        .expect("replay run");
-        let first_json = serde_json::to_string(
-            &first
-                .iter()
-                .map(|r| *r.as_ref().unwrap())
-                .collect::<Vec<f64>>(),
-        )
-        .unwrap();
-        let replay_json = serde_json::to_string(
-            &replayed
-                .iter()
-                .map(|r| *r.as_ref().unwrap())
-                .collect::<Vec<f64>>(),
-        )
-        .unwrap();
+        ));
+        let first_json = serde_json::to_string(&first).unwrap();
+        let replay_json = serde_json::to_string(&replayed).unwrap();
         assert_eq!(first_json, replay_json, "replay must be byte-identical");
         std::fs::remove_file(&path).ok();
     }
@@ -1276,26 +1045,25 @@ mod tests {
         std::fs::remove_file(&path).ok();
         let points: Vec<u64> = (0..5).collect();
         let ctl = RunCtl::unlimited();
-        let broken = try_sweep_resumable(11, &points, &path, &ctl, |&p, seed| {
+        let spec = journaled(11, &ctl, &path, None, false);
+        let broken = results(try_sweep(&spec, &points, |&p, seed| {
             assert!(p != 2, "injected crash at point two");
             Ok(p * 1000 + seed % 100)
-        })
-        .expect("run with one failed point");
+        }));
         assert!(broken[2].is_err());
         let journal_lines = std::fs::read_to_string(&path).unwrap().lines().count();
         assert_eq!(journal_lines, 4, "failed points are not journaled");
         // Resume without the injected failure: only point 2 runs.
         let reruns = AtomicUsize::new(0);
-        let healed = try_sweep_resumable(11, &points, &path, &ctl, |&p, seed| {
+        let healed = rows(try_sweep(&spec, &points, |&p, seed| {
             reruns.fetch_add(1, Ordering::Relaxed);
             Ok(p * 1000 + seed % 100)
-        })
-        .expect("healing run");
+        }));
         assert_eq!(reruns.load(Ordering::Relaxed), 1);
-        let direct = try_sweep_seeded(11, &points, |&p, seed| p * 1000 + seed % 100);
-        for (h, d) in healed.iter().zip(direct.iter()) {
-            assert_eq!(h.as_ref().unwrap(), d.as_ref().unwrap());
-        }
+        let direct = rows(try_sweep(&SweepSpec::new(11, &ctl), &points, |&p, seed| {
+            Ok(p * 1000 + seed % 100)
+        }));
+        assert_eq!(healed, direct);
         std::fs::remove_file(&path).ok();
     }
 
@@ -1305,24 +1073,24 @@ mod tests {
         std::fs::remove_file(&path).ok();
         let points: Vec<u64> = (0..3).collect();
         let ctl = RunCtl::unlimited();
-        try_sweep_resumable(11, &points, &path, &ctl, |&p, _| Ok(p * 2)).expect("seed the journal");
+        let spec = journaled(11, &ctl, &path, None, false);
+        rows(try_sweep(&spec, &points, |&p, _| Ok(p * 2)));
         // Tear the final line mid-write, as a crash would.
         let text = std::fs::read_to_string(&path).unwrap();
         let torn: String = text[..text.len() - 20].to_string();
         std::fs::write(&path, &torn).unwrap();
         let reruns = AtomicUsize::new(0);
-        let resumed = try_sweep_resumable(11, &points, &path, &ctl, |&p, _| {
+        let resumed = rows(try_sweep(&spec, &points, |&p, _| {
             reruns.fetch_add(1, Ordering::Relaxed);
             Ok(p * 2)
-        })
-        .expect("torn line tolerated");
+        }));
         assert_eq!(
             reruns.load(Ordering::Relaxed),
             1,
             "only the torn point re-runs"
         );
         for (i, r) in resumed.iter().enumerate() {
-            assert_eq!(r.as_ref().unwrap(), &(i as u64 * 2));
+            assert_eq!(r, &(i as u64 * 2));
         }
         std::fs::remove_file(&path).ok();
     }
@@ -1333,11 +1101,12 @@ mod tests {
         std::fs::remove_file(&path).ok();
         let points: Vec<u64> = (0..4).collect();
         let ctl = RunCtl::unlimited();
-        try_sweep_resumable(11, &points, &path, &ctl, |&p, _| Ok(p * 3)).expect("seed the journal");
+        let spec = journaled(11, &ctl, &path, None, false);
+        rows(try_sweep(&spec, &points, |&p, _| Ok(p * 3)));
         // Crash one: tear the final line, resume.
         let text = std::fs::read_to_string(&path).unwrap();
         std::fs::write(&path, &text[..text.len() - 15]).unwrap();
-        try_sweep_resumable(11, &points, &path, &ctl, |&p, _| Ok(p * 3)).expect("first resume");
+        rows(try_sweep(&spec, &points, |&p, _| Ok(p * 3)));
         // The torn line must be gone: every remaining line parses, so a
         // second crash-and-resume cannot mistake it for corruption.
         let healed = std::fs::read_to_string(&path).unwrap();
@@ -1347,10 +1116,9 @@ mod tests {
         }
         // Crash two: tear again, resume again — still healable.
         std::fs::write(&path, &healed[..healed.len() - 15]).unwrap();
-        let resumed = try_sweep_resumable(11, &points, &path, &ctl, |&p, _| Ok(p * 3))
-            .expect("second resume after a second torn tail");
+        let resumed = rows(try_sweep(&spec, &points, |&p, _| Ok(p * 3)));
         for (i, r) in resumed.iter().enumerate() {
-            assert_eq!(r.as_ref().unwrap(), &(i as u64 * 3));
+            assert_eq!(r, &(i as u64 * 3));
         }
         std::fs::remove_file(&path).ok();
     }
@@ -1361,9 +1129,18 @@ mod tests {
         std::fs::remove_file(&path).ok();
         let points: Vec<u64> = (0..3).collect();
         let ctl = RunCtl::unlimited();
-        try_sweep_resumable(11, &points, &path, &ctl, |&p, _| Ok(p)).expect("seed the journal");
+        rows(try_sweep(
+            &journaled(11, &ctl, &path, None, false),
+            &points,
+            |&p, _| Ok(p),
+        ));
         // Same journal, different master seed: derived seeds mismatch.
-        let err = try_sweep_resumable(12, &points, &path, &ctl, |&p, _| Ok(p)).unwrap_err();
+        let err = try_sweep(
+            &journaled(12, &ctl, &path, None, false),
+            &points,
+            |&p, _| Ok(p),
+        )
+        .unwrap_err();
         match &err {
             SimError::Config(e) => {
                 assert_eq!(e.context, "SweepJournal");
@@ -1377,8 +1154,47 @@ mod tests {
         lines[0] = "{\"index\":0,\"seed\":1,\"hash\":\"beef\",\"payload\":0}";
         let patched = format!("{}\n", lines.join("\n"));
         std::fs::write(&path, patched).unwrap();
-        let err = try_sweep_resumable(11, &points, &path, &ctl, |&p, _| Ok(p)).unwrap_err();
+        let err = try_sweep(
+            &journaled(11, &ctl, &path, None, false),
+            &points,
+            |&p, _| Ok(p),
+        )
+        .unwrap_err();
         assert!(matches!(err, SimError::Config(_)), "{err:?}");
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// A complete final line is never mistaken for a torn one: a
+    /// one-line journal from another sweep is rejected with a typed
+    /// error and left byte-for-byte as it was, not truncated away.
+    #[test]
+    fn one_line_journal_from_a_different_sweep_is_rejected_and_kept() {
+        let path = temp_journal("mismatch-one-line");
+        std::fs::remove_file(&path).ok();
+        let points: Vec<u64> = vec![5];
+        let ctl = RunCtl::unlimited();
+        let policy = RetryPolicy::new(2, std::time::Duration::ZERO);
+        rows(try_sweep(
+            &journaled(1, &ctl, &path, Some(policy.clone()), false),
+            &points,
+            |&p, _| Ok(p),
+        ));
+        let before = std::fs::read(&path).unwrap();
+        assert_eq!(before.iter().filter(|&&b| b == b'\n').count(), 1);
+        let err = try_sweep(
+            &journaled(2, &ctl, &path, Some(policy), false),
+            &points,
+            |&p, _| Ok(p),
+        )
+        .unwrap_err();
+        match &err {
+            SimError::Config(e) => {
+                assert_eq!(e.context, "SweepJournal");
+                assert!(e.message.contains("different sweep"), "{e}");
+            }
+            other => panic!("expected Config, got {other:?}"),
+        }
+        assert_eq!(std::fs::read(&path).unwrap(), before, "journal untouched");
         std::fs::remove_file(&path).ok();
     }
 
@@ -1391,7 +1207,7 @@ mod tests {
         // Every point fails transiently on its first attempt; the
         // healed output must equal the fault-free run's exactly.
         let failures: Mutex<HashMap<usize, usize>> = Mutex::new(HashMap::new());
-        let runs = try_sweep_retry_with_ctl(7, &points, &ctl, &policy, |&p, seed| {
+        let runs = try_sweep(&retrying(7, &ctl, policy), &points, |&p, seed| {
             let mut guard = failures.lock().unwrap();
             let count = guard.entry(p as usize).or_insert(0);
             *count += 1;
@@ -1404,9 +1220,11 @@ mod tests {
             Ok(p * 1000 + seed % 100)
         })
         .expect("no outer cancellation");
-        let clean = try_sweep_seeded(7, &points, |&p, seed| p * 1000 + seed % 100);
+        let clean = rows(try_sweep(&SweepSpec::new(7, &ctl), &points, |&p, seed| {
+            Ok(p * 1000 + seed % 100)
+        }));
         for (run, direct) in runs.iter().zip(clean.iter()) {
-            assert_eq!(run.result.as_ref().unwrap(), direct.as_ref().unwrap());
+            assert_eq!(run.result.as_ref().unwrap(), direct);
             assert_eq!(run.attempts, 2, "one failure, one healing retry");
         }
     }
@@ -1416,7 +1234,7 @@ mod tests {
         let points: Vec<u64> = (0..4).collect();
         let ctl = RunCtl::unlimited();
         let policy = RetryPolicy::new(2, std::time::Duration::ZERO);
-        let runs = try_sweep_retry_with_ctl(7, &points, &ctl, &policy, |&p, _| {
+        let runs = try_sweep(&retrying(7, &ctl, policy), &points, |&p, _| {
             if p == 2 {
                 return Err(SimError::Faulted {
                     unit: "point 2".into(),
@@ -1442,7 +1260,7 @@ mod tests {
         let ctl = RunCtl::unlimited();
         let policy = RetryPolicy::new(5, std::time::Duration::ZERO);
         let calls = AtomicUsize::new(0);
-        let runs = try_sweep_retry_with_ctl(7, &points, &ctl, &policy, |&p, _| {
+        let runs = try_sweep(&retrying(7, &ctl, policy), &points, |&p, _| {
             calls.fetch_add(1, Ordering::Relaxed);
             match p {
                 0 => Err(SimError::invalid_input("bad point")),
@@ -1471,6 +1289,7 @@ mod tests {
         let points: Vec<u64> = (0..5).collect();
         let ctl = RunCtl::unlimited();
         let policy = RetryPolicy::new(2, std::time::Duration::ZERO);
+        let spec = |retry_failed| journaled(11, &ctl, &path, Some(policy.clone()), retry_failed);
         let poison = |&p: &u64, seed: u64| {
             if p == 3 {
                 return Err(SimError::Faulted {
@@ -1480,8 +1299,7 @@ mod tests {
             }
             Ok(p * 10 + seed % 10)
         };
-        let first = try_sweep_resumable_retry(11, &points, &path, &ctl, &policy, false, poison)
-            .expect("first run");
+        let first = try_sweep(&spec(false), &points, poison).expect("first run");
         assert!(first[3].result.is_err());
         assert_eq!(first[3].attempts, 2);
         // The journal holds 4 rows + 1 tombstone, all hash-validated.
@@ -1496,12 +1314,11 @@ mod tests {
         // closure must not run for point 3 even though it would now
         // succeed.
         let reruns = AtomicUsize::new(0);
-        let resumed =
-            try_sweep_resumable_retry(11, &points, &path, &ctl, &policy, false, |&p, seed| {
-                reruns.fetch_add(1, Ordering::Relaxed);
-                Ok(p * 10 + seed % 10)
-            })
-            .expect("resume");
+        let resumed = try_sweep(&spec(false), &points, |&p, seed| {
+            reruns.fetch_add(1, Ordering::Relaxed);
+            Ok(p * 10 + seed % 10)
+        })
+        .expect("resume");
         assert_eq!(reruns.load(Ordering::Relaxed), 0, "nothing re-runs");
         assert!(resumed[3].result.is_err());
         assert_eq!(resumed[3].attempts, 2, "recorded attempt count replays");
@@ -1509,22 +1326,15 @@ mod tests {
         assert!(recorded.to_string().contains("poison"), "{recorded}");
         // --retry-failed re-runs the tombstoned point; its fresh
         // success supersedes the tombstone for every later replay.
-        let healed =
-            try_sweep_resumable_retry(11, &points, &path, &ctl, &policy, true, |&p, seed| {
-                Ok(p * 10 + seed % 10)
-            })
+        let healed = try_sweep(&spec(true), &points, |&p, seed| Ok(p * 10 + seed % 10))
             .expect("retry-failed run");
         assert_eq!(
             healed[3].result.as_ref().unwrap(),
             &(30 + point_seed(11, 3) % 10)
         );
-        let after = try_sweep_resumable_retry(
-            11,
+        let after = try_sweep(
+            &spec(false),
             &points,
-            &path,
-            &ctl,
-            &policy,
-            false,
             |_: &u64, _| -> Result<u64, SimError> { panic!("fully journaled: nothing re-runs") },
         )
         .expect("post-heal replay");
@@ -1539,7 +1349,8 @@ mod tests {
         let points: Vec<u64> = (0..3).collect();
         let ctl = RunCtl::unlimited();
         let policy = RetryPolicy::new(1, std::time::Duration::ZERO);
-        try_sweep_resumable_retry(11, &points, &path, &ctl, &policy, false, |&p, _| {
+        let spec = |seed| journaled(seed, &ctl, &path, Some(policy.clone()), false);
+        try_sweep(&spec(11), &points, |&p, _| {
             if p == 1 {
                 Err(SimError::Faulted {
                     unit: "point 1".into(),
@@ -1552,9 +1363,7 @@ mod tests {
         .expect("seed the journal");
         // A different master seed must reject the whole journal,
         // tombstone lines included.
-        let err =
-            try_sweep_resumable_retry(12, &points, &path, &ctl, &policy, false, |&p, _| Ok(p))
-                .unwrap_err();
+        let err = try_sweep(&spec(12), &points, |&p, _| Ok(p)).unwrap_err();
         assert!(matches!(&err, SimError::Config(e) if e.context == "SweepJournal"));
         // A tampered tombstone body (hash no longer matches) is corrupt.
         // Replay accepts lines in any order, so rewrite the journal
@@ -1569,52 +1378,13 @@ mod tests {
         let mut reordered = vec![doctored.as_str()];
         reordered.extend(rows);
         std::fs::write(&path, format!("{}\n", reordered.join("\n"))).unwrap();
-        let err =
-            try_sweep_resumable_retry(11, &points, &path, &ctl, &policy, false, |&p, _| Ok(p))
-                .unwrap_err();
+        let err = try_sweep(&spec(11), &points, |&p, _| Ok(p)).unwrap_err();
         match &err {
             SimError::Config(e) => {
                 assert_eq!(e.context, "SweepJournal");
                 assert!(e.message.contains("hash mismatch"), "{e}");
             }
             other => panic!("expected Config, got {other:?}"),
-        }
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn plain_resumable_driver_reruns_tombstoned_points() {
-        let path = temp_journal("tombstone-compat");
-        std::fs::remove_file(&path).ok();
-        let points: Vec<u64> = (0..3).collect();
-        let ctl = RunCtl::unlimited();
-        let policy = RetryPolicy::new(1, std::time::Duration::ZERO);
-        try_sweep_resumable_retry(11, &points, &path, &ctl, &policy, false, |&p, _| {
-            if p == 1 {
-                Err(SimError::Faulted {
-                    unit: "point 1".into(),
-                    message: "poison".into(),
-                })
-            } else {
-                Ok(p * 7)
-            }
-        })
-        .expect("seed journal with a tombstone");
-        // The non-quarantining driver honors its own contract: failed
-        // points (tombstoned or not) re-run on resume.
-        let reruns = AtomicUsize::new(0);
-        let resumed = try_sweep_resumable(11, &points, &path, &ctl, |&p, _| {
-            reruns.fetch_add(1, Ordering::Relaxed);
-            Ok(p * 7)
-        })
-        .expect("plain resume");
-        assert_eq!(
-            reruns.load(Ordering::Relaxed),
-            1,
-            "only the tombstoned point"
-        );
-        for (i, r) in resumed.iter().enumerate() {
-            assert_eq!(r.as_ref().unwrap(), &(i as u64 * 7));
         }
         std::fs::remove_file(&path).ok();
     }

@@ -142,15 +142,13 @@ pub struct HotPathStats {
     /// (plateaus after warm-up: the steady-state schedule path performs
     /// no heap allocation).
     pub scratch_grows: u64,
-    /// Speculative earliest-slot computations fanned out against a pass
-    /// snapshot (one per candidate job per speculative planning round).
+    /// Always 0: the speculative planner that counted slots here was
+    /// removed. The field stays because the service benchmark
+    /// (`svcbench/`) still reads it; drop it with the next benchmark
+    /// change.
     pub spec_planned: u64,
-    /// Speculative slots that re-verified feasible at commit time and
-    /// were used as-is (provably equal to the serial planner's answer).
+    /// Always 0, kept for the same reason as `spec_planned`.
     pub spec_hits: u64,
-    /// Speculative slots invalidated by an earlier commit in the same
-    /// round and recomputed serially against the live profile.
-    pub spec_invalidations: u64,
     /// Pending jobs repositioned by the incremental fair-share fix-up
     /// (remove + sorted re-insert of dirty users' jobs; the work that
     /// replaced full resorts).
@@ -171,9 +169,6 @@ impl HotPathStats {
         self.trace_bucket_hits += other.trace_bucket_hits;
         self.trace_bucket_misses += other.trace_bucket_misses;
         self.scratch_grows += other.scratch_grows;
-        self.spec_planned += other.spec_planned;
-        self.spec_hits += other.spec_hits;
-        self.spec_invalidations += other.spec_invalidations;
         self.fs_repositions += other.fs_repositions;
         self.fs_renorms += other.fs_renorms;
     }
@@ -201,7 +196,6 @@ impl Deserialize for HotPathStats {
             scratch_grows: field("scratch_grows")?,
             spec_planned: field("spec_planned")?,
             spec_hits: field("spec_hits")?,
-            spec_invalidations: field("spec_invalidations")?,
             fs_repositions: field("fs_repositions")?,
             fs_renorms: field("fs_renorms")?,
         })
@@ -219,9 +213,6 @@ static TOTAL_RESORTS_SKIPPED: AtomicU64 = AtomicU64::new(0);
 static TOTAL_TRACE_HITS: AtomicU64 = AtomicU64::new(0);
 static TOTAL_TRACE_MISSES: AtomicU64 = AtomicU64::new(0);
 static TOTAL_SCRATCH_GROWS: AtomicU64 = AtomicU64::new(0);
-static TOTAL_SPEC_PLANNED: AtomicU64 = AtomicU64::new(0);
-static TOTAL_SPEC_HITS: AtomicU64 = AtomicU64::new(0);
-static TOTAL_SPEC_INVALIDATIONS: AtomicU64 = AtomicU64::new(0);
 static TOTAL_FS_REPOSITIONS: AtomicU64 = AtomicU64::new(0);
 static TOTAL_FS_RENORMS: AtomicU64 = AtomicU64::new(0);
 
@@ -234,9 +225,6 @@ pub(crate) fn record_hot_path_totals(s: &HotPathStats) {
     TOTAL_TRACE_HITS.fetch_add(s.trace_bucket_hits, Ordering::Relaxed);
     TOTAL_TRACE_MISSES.fetch_add(s.trace_bucket_misses, Ordering::Relaxed);
     TOTAL_SCRATCH_GROWS.fetch_add(s.scratch_grows, Ordering::Relaxed);
-    TOTAL_SPEC_PLANNED.fetch_add(s.spec_planned, Ordering::Relaxed);
-    TOTAL_SPEC_HITS.fetch_add(s.spec_hits, Ordering::Relaxed);
-    TOTAL_SPEC_INVALIDATIONS.fetch_add(s.spec_invalidations, Ordering::Relaxed);
     TOTAL_FS_REPOSITIONS.fetch_add(s.fs_repositions, Ordering::Relaxed);
     TOTAL_FS_RENORMS.fetch_add(s.fs_renorms, Ordering::Relaxed);
 }
@@ -253,9 +241,8 @@ pub fn hot_path_totals() -> HotPathStats {
         trace_bucket_hits: TOTAL_TRACE_HITS.load(Ordering::Relaxed),
         trace_bucket_misses: TOTAL_TRACE_MISSES.load(Ordering::Relaxed),
         scratch_grows: TOTAL_SCRATCH_GROWS.load(Ordering::Relaxed),
-        spec_planned: TOTAL_SPEC_PLANNED.load(Ordering::Relaxed),
-        spec_hits: TOTAL_SPEC_HITS.load(Ordering::Relaxed),
-        spec_invalidations: TOTAL_SPEC_INVALIDATIONS.load(Ordering::Relaxed),
+        spec_planned: 0,
+        spec_hits: 0,
         fs_repositions: TOTAL_FS_REPOSITIONS.load(Ordering::Relaxed),
         fs_renorms: TOTAL_FS_RENORMS.load(Ordering::Relaxed),
     }
@@ -602,7 +589,6 @@ mod tests {
         assert_eq!(s.scratch_grows, 7);
         assert_eq!(s.spec_planned, 0);
         assert_eq!(s.spec_hits, 0);
-        assert_eq!(s.spec_invalidations, 0);
         assert_eq!(s.fs_repositions, 0);
         assert_eq!(s.fs_renorms, 0);
     }
@@ -632,7 +618,7 @@ mod tests {
         // stable for any order-sensitive consumer.
         let json = serde_json::to_string(&HotPathStats::default()).unwrap();
         let pos = |name: &str| json.find(name).unwrap();
-        assert!(pos("spec_invalidations") < pos("fs_repositions"));
+        assert!(pos("spec_hits") < pos("fs_repositions"));
         assert!(pos("fs_repositions") < pos("fs_renorms"));
         assert_eq!(pos("fs_renorms"), json.rfind("fs_").unwrap());
     }
@@ -643,7 +629,6 @@ mod tests {
             events: 1,
             spec_planned: 8,
             spec_hits: 6,
-            spec_invalidations: 2,
             fs_repositions: 9,
             fs_renorms: 1,
             ..Default::default()

@@ -16,10 +16,8 @@
 use serde::{DeError, Deserialize, Serialize, Value};
 use std::path::Path;
 use sustain_grid::region::{Region, RegionProfile};
-use sustain_hpc_core::scenario::{run_with_ctl, Scenario, ScenarioResult};
-use sustain_hpc_core::sweep::{
-    point_seed, try_sweep_memo_with_ctl, try_sweep_resumable, try_sweep_resumable_retry,
-};
+use sustain_hpc_core::scenario::{try_run, Scenario, ScenarioResult};
+use sustain_hpc_core::sweep::{point_seed, try_sweep, Journal, PointRun, SweepSpec};
 use sustain_scheduler::cluster::Cluster;
 use sustain_scheduler::sim::{CarbonAwareCfg, Policy};
 use sustain_sim_core::ctl::{CancelToken, Deadline, RunCtl};
@@ -229,14 +227,15 @@ pub fn run_body_with_ctl(
     let scenario = req.to_scenario()?;
     scenario.validate()?;
     let ctl = request_ctl(req.timeout_ms, token);
-    let result = run_with_ctl(&scenario, &ctl)?;
+    let result = try_run(&scenario, &ctl)?;
     serde_json::to_string_pretty(&result)
         .map_err(|e| SimError::invalid_input(format!("cannot serialize result: {e}")))
 }
 
 /// Parameters of one parameterized sweep (`POST /sweep`, CLI `sweep`):
 /// a base scenario plus one swept axis, fanned out through the shared
-/// fault-isolated sweep driver (`core::sweep::try_sweep_seeded`) on the
+/// fault-isolated sweep driver (`core::sweep::try_sweep`, memo mode;
+/// retry + journal mode for the CLI's `sweep --journal`) on the
 /// process-wide thread budget and trace cache.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SweepRequest {
@@ -446,15 +445,23 @@ fn sweep_row(seed: u64, r: ScenarioResult) -> SweepRow {
     }
 }
 
-/// Renders the canonical sweep response body from per-point results.
-fn render_sweep_response(
+/// Runs every point of a validated sweep through [`try_sweep`] under
+/// `spec` and renders the canonical response body. Attempt counts are
+/// surfaced through the retry counters (`GET /stats`, CLI `--stats`),
+/// not the body — keeping a healed sweep's body byte-identical to the
+/// fault-free run's.
+fn run_sweep(
     req: &SweepRequest,
-    results: Vec<Result<SweepRow, SimError>>,
+    scenarios: &[Scenario],
+    spec: &SweepSpec<'_, SweepRow>,
 ) -> Result<String, SimError> {
-    let points: Vec<SweepPointOutcome> = results
+    let runs = try_sweep(spec, scenarios, |scenario, _| {
+        try_run(scenario, spec.ctl).map(|r| sweep_row(scenario.seed, r))
+    })?;
+    let points: Vec<SweepPointOutcome> = runs
         .into_iter()
         .enumerate()
-        .map(|(index, result)| match result {
+        .map(|(index, PointRun { result, .. })| match result {
             Ok(row) => SweepPointOutcome {
                 index,
                 value: req.values[index],
@@ -481,10 +488,9 @@ fn render_sweep_response(
 }
 
 /// Handles one sweep request: validate every point up front, fan the
-/// points out through the fault-isolated seeded sweep driver, and
-/// render the canonical response body. Honors the request's own
-/// `timeout_ms`; a server shutdown token is only attached by
-/// [`sweep_body_with_ctl`].
+/// points out through the memoizing sweep driver, and render the
+/// canonical response body. Honors the request's own `timeout_ms`; a
+/// server shutdown token is only attached by [`sweep_body_with_ctl`].
 pub fn sweep_body(req: &SweepRequest) -> Result<String, SimError> {
     sweep_body_with_ctl(req, None)
 }
@@ -501,44 +507,29 @@ pub fn sweep_body_with_ctl(
     let ctl = request_ctl(req.timeout_ms, token);
     // Points already validated, and each point's effective seed is
     // already baked into its scenario by `sweep_scenarios` (including
-    // the derived `point_seed` sub-seeds) — so the content-addressed
-    // memo driver is sound here: duplicate axis values collapse to one
-    // simulation and fan the identical row back out in order.
-    let results = try_sweep_memo_with_ctl(&scenarios, &ctl, |scenario| {
-        run_with_ctl(scenario, &ctl).map(|r| sweep_row(scenario.seed, r))
-    })?;
-    render_sweep_response(req, results)
+    // the derived `point_seed` sub-seeds) — so memoization is sound
+    // here: duplicate axis values collapse to one simulation and fan
+    // the identical row back out in order.
+    let spec = SweepSpec {
+        memo: true,
+        ..SweepSpec::new(req.master_seed, &ctl)
+    };
+    run_sweep(req, &scenarios, &spec)
 }
 
-/// [`sweep_body`] with a crash-resumable checkpoint journal: completed
-/// points are replayed from `journal` instead of re-run, and newly
-/// completed points are appended to it (one fsync'd JSON line each).
-/// The merged response is byte-identical to an uninterrupted
-/// [`sweep_body`] run of the same request.
-pub fn sweep_body_resumable(
-    req: &SweepRequest,
-    journal: &Path,
-    token: Option<&CancelToken>,
-) -> Result<String, SimError> {
-    let scenarios = sweep_scenarios(req)?;
-    let ctl = request_ctl(req.timeout_ms, token);
-    let results =
-        try_sweep_resumable(req.master_seed, &scenarios, journal, &ctl, |scenario, _| {
-            run_with_ctl(scenario, &ctl).map(|r| sweep_row(scenario.seed, r))
-        })?;
-    render_sweep_response(req, results)
-}
-
-/// [`sweep_body_resumable`] through the self-healing driver: points
-/// that fail transiently (injected faults, recoverable infrastructure
-/// errors) are retried under the process-wide [`RetryPolicy`] with
-/// deterministic per-point backoff, and points that exhaust their
-/// attempts are quarantined as tombstone records in the journal.
-/// Replaying the journal skips tombstoned points (their recorded error
-/// is reported without re-running them) unless `retry_failed` is set,
-/// in which case they are re-run and — on success — superseded in the
-/// journal. When every fault heals, the response is byte-identical to
-/// a fault-free [`sweep_body`] run of the same request.
+/// [`sweep_body`] with a crash-resumable, self-healing checkpoint
+/// journal (the CLI's `sweep --journal`): completed points are replayed
+/// from `journal` instead of re-run, newly completed points are
+/// appended to it (one fsync'd JSON line each), and points that fail
+/// transiently (injected faults, recoverable infrastructure errors) are
+/// retried under the process-wide [`RetryPolicy`] with deterministic
+/// per-point backoff. Points that exhaust their attempts are
+/// quarantined as tombstone records; replaying the journal skips them
+/// (their recorded error is reported without re-running them) unless
+/// `retry_failed` is set, in which case they are re-run and — on
+/// success — superseded in the journal. When every fault heals, the
+/// response is byte-identical to a fault-free [`sweep_body`] run of the
+/// same request.
 pub fn sweep_body_resumable_retry(
     req: &SweepRequest,
     journal: &Path,
@@ -547,21 +538,12 @@ pub fn sweep_body_resumable_retry(
 ) -> Result<String, SimError> {
     let scenarios = sweep_scenarios(req)?;
     let ctl = request_ctl(req.timeout_ms, token);
-    let policy = RetryPolicy::from_global();
-    let runs = try_sweep_resumable_retry(
-        req.master_seed,
-        &scenarios,
-        journal,
-        &ctl,
-        &policy,
-        retry_failed,
-        |scenario, _| run_with_ctl(scenario, &ctl).map(|r| sweep_row(scenario.seed, r)),
-    )?;
-    // Attempt counts are surfaced through the retry counters
-    // (`GET /stats`, CLI `--stats`), not the response body — keeping
-    // the body byte-identical to the fault-free driver's.
-    let results = runs.into_iter().map(|run| run.result).collect();
-    render_sweep_response(req, results)
+    let spec = SweepSpec {
+        retry: Some(RetryPolicy::from_global()),
+        journal: Some(Journal::new(journal, retry_failed)),
+        ..SweepSpec::new(req.master_seed, &ctl)
+    };
+    run_sweep(req, &scenarios, &spec)
 }
 
 /// Structured error payload: every non-2xx response carries one.
@@ -863,10 +845,10 @@ mod tests {
         let _ = std::fs::remove_file(&journal);
 
         let plain = sweep_body(&req).unwrap();
-        let fresh = sweep_body_resumable(&req, &journal, None).unwrap();
+        let fresh = sweep_body_resumable_retry(&req, &journal, None, false).unwrap();
         assert_eq!(plain, fresh, "fresh resumable run must match plain run");
         // Second invocation replays every point from the journal.
-        let replayed = sweep_body_resumable(&req, &journal, None).unwrap();
+        let replayed = sweep_body_resumable_retry(&req, &journal, None, false).unwrap();
         assert_eq!(plain, replayed, "replayed run must be byte-identical");
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -48,8 +48,8 @@ pub mod server;
 pub mod signal;
 
 pub use api::{
-    run_body, run_body_with_ctl, run_etag, sweep_body, sweep_body_resumable,
-    sweep_body_resumable_retry, sweep_body_with_ctl, RunRequest, SweepRequest,
+    run_body, run_body_with_ctl, run_etag, sweep_body, sweep_body_resumable_retry,
+    sweep_body_with_ctl, RunRequest, SweepRequest,
 };
 pub use health::{
     init_health_from_env, Health, ProcessHealth, SelfHealingSnapshot, BREAKER_TRIP_ENV,

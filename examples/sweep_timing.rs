@@ -16,7 +16,6 @@ use serde::Serialize;
 use std::time::Instant;
 use sustain_hpc::core::cache::{global_outcome_cache, DEFAULT_OUTCOME_CACHE_CAPACITY};
 use sustain_hpc::core::prelude::*;
-use sustain_hpc::core::scenario::try_run;
 use sustain_hpc::core::sweep::{effective_threads, global_trace_cache, set_threads};
 use sustain_hpc::grid::region::Region;
 use sustain_hpc::workload::synth::global_workload_cache;
@@ -160,7 +159,7 @@ fn measure_memo(rows: &mut Vec<Row>) {
     let cold = timed_row("sweep_memo_duplicate_points", "cold", 1, None, REPS, || {
         clear_all_caches();
         for p in &points {
-            std::hint::black_box(try_run(p).expect("bench scenario is valid"));
+            std::hint::black_box(run(p));
         }
     });
     global_outcome_cache().set_capacity(DEFAULT_OUTCOME_CACHE_CAPACITY);
@@ -176,7 +175,11 @@ fn measure_memo(rows: &mut Vec<Row>) {
         || {
             clear_all_caches();
             let ctl = RunCtl::unlimited();
-            let results = try_sweep_memo_with_ctl(&points, &ctl, try_run)
+            let spec = SweepSpec {
+                memo: true,
+                ..SweepSpec::new(0, &ctl)
+            };
+            let results = try_sweep(&spec, &points, |p, _| try_run(p, &ctl))
                 .expect("bench sweep cannot be cancelled");
             std::hint::black_box(results);
         },

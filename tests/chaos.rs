@@ -14,14 +14,12 @@ use sustain_hpc::scheduler::sim::{try_simulate, SimConfig};
 use sustain_hpc::sim_core::units::Power;
 
 /// CI also runs this harness under `SUSTAIN_THREADS=2`: honor the env
-/// knob and force the speculative planner on (threshold 0), so the
-/// no-panic contract is exercised under in-scenario parallelism and the
-/// shared worker budget too.
+/// knob, so the no-panic contract is exercised under the shared worker
+/// budget too.
 fn parallelism_init() {
     static INIT: std::sync::Once = std::sync::Once::new();
     INIT.call_once(|| {
         sustain_hpc::core::sweep::init_threads_from_env().expect("valid SUSTAIN_THREADS in CI");
-        sustain_hpc::scheduler::sim::set_par_pending_min(0);
     });
 }
 
@@ -97,7 +95,7 @@ proptest! {
                 ci_high: EVIL[sc_val] + 1.0,
             }),
         };
-        let outcome = catch_unwind(AssertUnwindSafe(|| try_run(&s)));
+        let outcome = catch_unwind(AssertUnwindSafe(|| try_run(&s, &RunCtl::unlimited())));
         prop_assert!(outcome.is_ok(), "try_run unwound instead of returning Err");
         // Known-bad inputs must be *rejected*, not silently accepted.
         if let Ok(result) = outcome {
@@ -155,15 +153,24 @@ proptest! {
     ) {
         parallelism_init();
         let points: Vec<usize> = (0..n).collect();
-        let results = try_sweep(&points, |&i| {
-            assert!(fail_mask & (1 << i) == 0, "chaos-injected failure");
-            i * 3
-        });
+        let ctl = RunCtl::unlimited();
+        let results: Vec<Result<usize, SimError>> =
+            try_sweep(&SweepSpec::new(0, &ctl), &points, |&i, _| {
+                assert!(fail_mask & (1 << i) == 0, "chaos-injected failure");
+                Ok(i * 3)
+            })
+            .expect("an unlimited control never cancels")
+            .into_iter()
+            .map(|run| run.result)
+            .collect();
         prop_assert_eq!(results.len(), n);
         for (i, r) in results.iter().enumerate() {
             if fail_mask & (1 << i) != 0 {
                 let e = r.as_ref().expect_err("injected failure must surface");
-                prop_assert_eq!(e.index, i);
+                prop_assert!(
+                    matches!(e, SimError::Faulted { unit, .. } if *unit == format!("sweep point {i}")),
+                    "{e:?}"
+                );
             } else {
                 prop_assert_eq!(r.as_ref().ok().copied(), Some(i * 3));
             }

@@ -9,7 +9,7 @@
 //! one mutex and disarms on drop — a failing assertion must not leak an
 //! armed fault plan into the next test.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
@@ -17,15 +17,14 @@ use std::time::{Duration, Instant};
 use sustain_hpc::core::prelude::*;
 use sustain_hpc::service::{serve, ServeOptions};
 use sustain_hpc::sim_core::faults;
+use sustain_hpc::sim_core::hash::CanonicalHash;
 
 /// CI runs this suite under `SUSTAIN_THREADS=2` as well: honor the env
-/// knob and force the speculative planner on, so fault isolation is
-/// exercised under in-scenario parallelism and the shared budget too.
+/// knob, so fault isolation is exercised under the shared budget too.
 fn parallelism_init() {
     static INIT: std::sync::Once = std::sync::Once::new();
     INIT.call_once(|| {
         sustain_hpc::core::sweep::init_threads_from_env().expect("valid SUSTAIN_THREADS in CI");
-        sustain_hpc::scheduler::sim::set_par_pending_min(0);
     });
 }
 
@@ -96,6 +95,42 @@ fn temp_journal(case: &str) -> PathBuf {
     path
 }
 
+/// `try_sweep` in its plain mode, reduced to bare per-point results.
+fn seeded_sweep<P, R>(
+    seed: u64,
+    points: &[P],
+    ctl: &RunCtl,
+    f: impl Fn(&P, u64) -> Result<R, SimError> + Sync,
+) -> Result<Vec<Result<R, SimError>>, SimError>
+where
+    P: Sync + CanonicalHash,
+    R: Send + Clone,
+{
+    let runs = try_sweep(&SweepSpec::new(seed, ctl), points, f)?;
+    Ok(runs.into_iter().map(|run| run.result).collect())
+}
+
+/// `try_sweep` with a checkpoint journal (no retry), reduced to bare
+/// per-point results.
+fn journaled_sweep<P, R>(
+    seed: u64,
+    points: &[P],
+    path: &Path,
+    ctl: &RunCtl,
+    f: impl Fn(&P, u64) -> Result<R, SimError> + Sync,
+) -> Result<Vec<Result<R, SimError>>, SimError>
+where
+    P: Sync + CanonicalHash,
+    R: Send + Clone + serde::Serialize + serde::Deserialize,
+{
+    let spec = SweepSpec {
+        journal: Some(Journal::new(path, false)),
+        ..SweepSpec::new(seed, ctl)
+    };
+    let runs = try_sweep(&spec, points, f)?;
+    Ok(runs.into_iter().map(|run| run.result).collect())
+}
+
 /// Polls until the shared worker budget is back at `baseline` — leases
 /// are Drop-released, so transient lag is fine but a leak is not.
 fn assert_budget_restored(baseline: usize) {
@@ -132,8 +167,8 @@ fn simulation_faults_are_isolated_per_point_and_heal_after_disarm() {
             faults::arm(&format!("{site}:{mode}:1"), 7).expect("valid spec");
             let scenarios: Vec<Scenario> = (0..3).map(|_| small_scenario(fresh_seed())).collect();
             let ctl = RunCtl::unlimited();
-            let results = try_sweep_seeded_with_ctl(11, &scenarios, &ctl, |s, _| {
-                try_run(s).map(|r| r.grid_mean_ci)
+            let results = seeded_sweep(11, &scenarios, &ctl, |s, _| {
+                try_run(s, &RunCtl::unlimited()).map(|r| r.grid_mean_ci)
             })
             .unwrap_or_else(|e| panic!("{site}:{mode}: whole sweep failed: {e}"));
 
@@ -159,8 +194,8 @@ fn simulation_faults_are_isolated_per_point_and_heal_after_disarm() {
             faults::disarm();
 
             // No poisoned locks, no broken cache: the same sweep heals.
-            let healed = try_sweep_seeded_with_ctl(11, &scenarios, &ctl, |s, _| {
-                try_run(s).map(|r| r.grid_mean_ci)
+            let healed = seeded_sweep(11, &scenarios, &ctl, |s, _| {
+                try_run(s, &RunCtl::unlimited()).map(|r| r.grid_mean_ci)
             })
             .expect("healed sweep runs");
             assert!(
@@ -184,8 +219,8 @@ fn journal_faults_are_typed_and_a_resume_heals_the_sweep() {
 
     let clean_path = temp_journal("clean");
     let ctl = RunCtl::unlimited();
-    let clean = try_sweep_resumable(99, &points, &clean_path, &ctl, run)
-        .expect("undisturbed resumable sweep");
+    let clean =
+        journaled_sweep(99, &points, &clean_path, &ctl, run).expect("undisturbed resumable sweep");
     let clean: Vec<String> = clean.into_iter().map(|r| r.expect("clean point")).collect();
     std::fs::remove_file(&clean_path).ok();
 
@@ -197,7 +232,7 @@ fn journal_faults_are_typed_and_a_resume_heals_the_sweep() {
         for mode in ["error", "panic"] {
             let path = temp_journal(&format!("{}-{mode}", site.replace(':', "_")));
             faults::arm(&format!("{site}:{mode}:1"), 7).expect("valid spec");
-            let err = try_sweep_resumable(99, &points, &path, &ctl, run)
+            let err = journaled_sweep(99, &points, &path, &ctl, run)
                 .expect_err("injected journal fault must surface");
             assert!(
                 err.to_string().contains("injected fault at"),
@@ -207,7 +242,7 @@ fn journal_faults_are_typed_and_a_resume_heals_the_sweep() {
 
             // The journal left behind (possibly partial, possibly
             // absent) must resume to the exact undisturbed results.
-            let resumed = try_sweep_resumable(99, &points, &path, &ctl, run)
+            let resumed = journaled_sweep(99, &points, &path, &ctl, run)
                 .unwrap_or_else(|e| panic!("{site}:{mode}: resume failed: {e}"));
             let resumed: Vec<String> = resumed
                 .into_iter()
@@ -231,8 +266,8 @@ fn a_faulted_trace_fill_leaves_the_cache_usable() {
     faults::arm("grid::trace_fill:panic:1", 7).expect("valid spec");
     let scenarios = vec![small_scenario(seed)];
     let ctl = RunCtl::unlimited();
-    let results = try_sweep_seeded_with_ctl(11, &scenarios, &ctl, |s, _| {
-        try_run(s).map(|r| r.grid_mean_ci)
+    let results = seeded_sweep(11, &scenarios, &ctl, |s, _| {
+        try_run(s, &RunCtl::unlimited()).map(|r| r.grid_mean_ci)
     })
     .expect("sweep survives the fill panic");
     assert!(results[0].is_err(), "the filling point observed the panic");
@@ -258,8 +293,8 @@ fn a_faulted_outcome_fill_leaves_the_cache_usable() {
 
     faults::arm("scenario::outcome_fill:panic:1", 7).expect("valid spec");
     let ctl = RunCtl::unlimited();
-    let results = try_sweep_seeded_with_ctl(11, std::slice::from_ref(&scenario), &ctl, |s, _| {
-        try_run(s).map(|r| r.grid_mean_ci)
+    let results = seeded_sweep(11, std::slice::from_ref(&scenario), &ctl, |s, _| {
+        try_run(s, &RunCtl::unlimited()).map(|r| r.grid_mean_ci)
     })
     .expect("sweep survives the fill panic");
     assert!(results[0].is_err(), "the filling point observed the panic");
@@ -270,8 +305,8 @@ fn a_faulted_outcome_fill_leaves_the_cache_usable() {
     // byte-identical result.
     let cache = global_outcome_cache();
     let before = cache.stats();
-    let first = try_run(&scenario).expect("retry after a fill panic");
-    let second = try_run(&scenario).expect("cached rerun");
+    let first = try_run(&scenario, &RunCtl::unlimited()).expect("retry after a fill panic");
+    let second = try_run(&scenario, &RunCtl::unlimited()).expect("cached rerun");
     let after = cache.stats();
     assert!(
         after.hits > before.hits,
@@ -295,7 +330,7 @@ fn tokens_and_deadlines_cancel_runs_and_sweeps_with_typed_errors() {
     let token = CancelToken::new();
     token.cancel("unplugged");
     let ctl = RunCtl::unlimited().with_token(token.clone());
-    match try_run_with_ctl(&small_scenario(fresh_seed()), &ctl) {
+    match try_run(&small_scenario(fresh_seed()), &ctl) {
         Err(SimError::Cancelled {
             at_sim_time,
             reason,
@@ -307,7 +342,7 @@ fn tokens_and_deadlines_cancel_runs_and_sweeps_with_typed_errors() {
     }
 
     let ctl = RunCtl::unlimited().with_deadline(Deadline::after_millis(1));
-    match try_run_with_ctl(&heavy_scenario(), &ctl) {
+    match try_run(&heavy_scenario(), &ctl) {
         Err(SimError::Cancelled { reason, .. }) => {
             assert!(
                 reason.contains("deadline"),
@@ -319,8 +354,8 @@ fn tokens_and_deadlines_cancel_runs_and_sweeps_with_typed_errors() {
 
     let ctl = RunCtl::unlimited().with_token(token);
     let scenarios: Vec<Scenario> = (0..3).map(|_| small_scenario(fresh_seed())).collect();
-    match try_sweep_seeded_with_ctl(11, &scenarios, &ctl, |s, _| {
-        try_run(s).map(|r| r.grid_mean_ci)
+    match seeded_sweep(11, &scenarios, &ctl, |s, _| {
+        try_run(s, &RunCtl::unlimited()).map(|r| r.grid_mean_ci)
     }) {
         Err(SimError::Cancelled { reason, .. }) => {
             assert!(
@@ -427,8 +462,8 @@ fn every_fault_site_is_on_an_exercised_path() {
     let path = temp_journal("coverage");
     let scenarios: Vec<Scenario> = (0..2).map(|_| small_scenario(fresh_seed())).collect();
     let ctl = RunCtl::unlimited();
-    let results = try_sweep_resumable(11, &scenarios, &path, &ctl, |s, _| {
-        try_run(s).map(|r| r.grid_mean_ci)
+    let results = journaled_sweep(11, &scenarios, &path, &ctl, |s, _| {
+        try_run(s, &RunCtl::unlimited()).map(|r| r.grid_mean_ci)
     })
     .expect("coverage sweep");
     assert!(results.iter().all(Result::is_ok));

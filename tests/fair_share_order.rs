@@ -17,6 +17,7 @@
 
 use proptest::prelude::*;
 use serde::{Serialize, Value};
+use std::sync::Mutex;
 use sustain_hpc::prelude::*;
 use sustain_hpc::scheduler::metrics::SimOutcome;
 use sustain_hpc::scheduler::queue::QueueSet;
@@ -64,10 +65,16 @@ fn build(
 }
 
 /// Runs the scenario through both ordering paths and returns their
-/// outcomes. The oracle toggle is process-global; reset before
-/// returning so a panicking assertion cannot leak oracle mode into the
-/// sibling tests in this binary.
+/// outcomes. The oracle toggle is process-global, so the tests in this
+/// binary serialize on one mutex while they flip it (otherwise one
+/// test's "production" run can execute in a sibling's oracle mode), and
+/// reset it before returning so a panicking assertion cannot leak
+/// oracle mode into the sibling tests.
 fn run_both(jobs: &[Job], cfg: &SimConfig) -> (SimOutcome, SimOutcome) {
+    static ORACLE_TOGGLE: Mutex<()> = Mutex::new(());
+    let _guard = ORACLE_TOGGLE
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner());
     set_fair_share_oracle_resort(false);
     let prod = simulate(jobs, cfg);
     set_fair_share_oracle_resort(true);

@@ -21,9 +21,8 @@
 //! are exactly what a perf PR is expected to change.
 //!
 //! Every scenario replays at thread counts 1, 2 and 8 (plus whatever
-//! `SUSTAIN_THREADS` asks for), with the speculative-planning threshold
-//! forced to 0, so the snapshot additionally pins that the parallel
-//! planner is byte-identical to the serial one at every thread count.
+//! `SUSTAIN_THREADS` asks for), so the snapshot additionally pins that
+//! outcomes do not depend on the thread count.
 
 use serde::{Serialize, Value};
 use std::path::PathBuf;
@@ -52,10 +51,9 @@ fn golden_path(name: &str) -> PathBuf {
         .join(format!("{name}.json"))
 }
 
-/// Thread counts every golden replays at. 1 pins the serial planner, 2
-/// and 8 pin the speculative parallel planner above and below typical
-/// core counts; `SUSTAIN_THREADS` (the CI matrix knob) joins the list
-/// when it names something else.
+/// Thread counts every golden replays at: 1, plus 2 and 8 above and
+/// below typical core counts; `SUSTAIN_THREADS` (the CI matrix knob)
+/// joins the list when it names something else.
 fn replay_threads() -> Vec<usize> {
     let mut counts = vec![1, 2, 8];
     if let Some(n) = std::env::var(sustain_hpc::core::sweep::THREADS_ENV)
@@ -77,7 +75,6 @@ fn replay_threads() -> Vec<usize> {
 /// a sibling's thread count — which is exactly the property under test:
 /// *any* interleaving must reproduce the same bytes.
 fn check(name: &str, jobs: &[Job], cfg: &SimConfig) {
-    sustain_hpc::scheduler::sim::set_par_pending_min(0);
     if std::env::var("GOLDEN_REGEN").as_deref() == Ok("1") {
         sustain_hpc::core::sweep::set_threads(1);
         let got = canonical(&simulate(jobs, cfg));

@@ -19,7 +19,7 @@
 
 use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
@@ -200,6 +200,28 @@ fn transient_faults_heal_and_the_retried_sweep_is_byte_identical() {
     }
 }
 
+/// `try_sweep` with retry under `policy` (master seed 99).
+fn retrying<'a, R>(ctl: &'a RunCtl, policy: &RetryPolicy) -> SweepSpec<'a, R> {
+    SweepSpec {
+        retry: Some(policy.clone()),
+        ..SweepSpec::new(99, ctl)
+    }
+}
+
+/// `try_sweep` in the CLI's `sweep --journal` mode: retry plus a
+/// quarantining checkpoint journal (master seed 99).
+fn quarantining<'a>(
+    journal: &'a Path,
+    ctl: &'a RunCtl,
+    policy: &RetryPolicy,
+    retry_failed: bool,
+) -> SweepSpec<'a, String> {
+    SweepSpec {
+        journal: Some(Journal::new(journal, retry_failed)),
+        ..retrying(ctl, policy)
+    }
+}
+
 // ---------------------------------------------------------------------
 // Quarantine: exhausted and permanent failures become tombstones.
 // ---------------------------------------------------------------------
@@ -217,7 +239,7 @@ fn exhausted_transient_retries_quarantine_with_recorded_attempts() {
     let ctl = RunCtl::unlimited();
 
     let before = retry::retry_stats();
-    let runs = try_sweep_retry_with_ctl(99, &points, &ctl, &policy, |p, seed| match *p {
+    let runs = try_sweep(&retrying(&ctl, &policy), &points, |p, seed| match *p {
         // Broken forever: transient error on every attempt.
         7 => {
             broken_calls.fetch_add(1, Ordering::Relaxed);
@@ -291,7 +313,7 @@ fn a_permanent_fault_quarantines_and_only_retry_failed_reruns_it() {
 
     // Pass 1: the poison point quarantines after ONE attempt.
     let before = retry::retry_stats();
-    let runs = try_sweep_resumable_retry(99, &points, &journal, &ctl, &policy, false, work)
+    let runs = try_sweep(&quarantining(&journal, &ctl, &policy, false), &points, work)
         .expect("sweep with a quarantined point still completes");
     assert!(
         matches!(runs[1].result, Err(SimError::InvalidInput { .. })),
@@ -317,7 +339,7 @@ fn a_permanent_fault_quarantines_and_only_retry_failed_reruns_it() {
     // skips the tombstone and reports the recorded error verbatim.
     poisoned.store(false, Ordering::Relaxed);
     let before = retry::retry_stats();
-    let runs = try_sweep_resumable_retry(99, &points, &journal, &ctl, &policy, false, work)
+    let runs = try_sweep(&quarantining(&journal, &ctl, &policy, false), &points, work)
         .expect("replay with a tombstone completes");
     match &runs[1].result {
         Err(SimError::InvalidInput { message }) => assert_eq!(message, "poison point"),
@@ -337,7 +359,7 @@ fn a_permanent_fault_quarantines_and_only_retry_failed_reruns_it() {
     );
 
     // Pass 3: --retry-failed re-runs exactly the tombstoned point.
-    let runs = try_sweep_resumable_retry(99, &points, &journal, &ctl, &policy, true, work)
+    let runs = try_sweep(&quarantining(&journal, &ctl, &policy, true), &points, work)
         .expect("retry-failed replay completes");
     assert!(
         runs[1].result.is_ok(),
@@ -349,7 +371,7 @@ fn a_permanent_fault_quarantines_and_only_retry_failed_reruns_it() {
 
     // Pass 4: the success superseded the tombstone — a plain replay now
     // returns it without running anything.
-    let runs = try_sweep_resumable_retry(99, &points, &journal, &ctl, &policy, false, work)
+    let runs = try_sweep(&quarantining(&journal, &ctl, &policy, false), &points, work)
         .expect("post-heal replay completes");
     assert!(runs.iter().all(|r| r.result.is_ok()));
     assert!(runs.iter().all(|r| r.attempts == 0), "pure replay");

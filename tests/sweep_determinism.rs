@@ -53,26 +53,35 @@ fn a6_failure_model_parallel_bytes_match_serial() {
 #[test]
 fn try_sweep_injected_panic_fails_alone() {
     let points: Vec<u32> = (0..12).collect();
-    let results = try_sweep(&points, |&p| {
-        assert!(p != 7, "injected fault in point 7");
-        p as u64 + 100
-    });
+    let ctl = RunCtl::unlimited();
+    let run = || -> Vec<Result<u64, SimError>> {
+        try_sweep(&SweepSpec::new(0, &ctl), &points, |&p, _| {
+            assert!(p != 7, "injected fault in point 7");
+            Ok(p as u64 + 100)
+        })
+        .expect("an unlimited control never cancels")
+        .into_iter()
+        .map(|run| run.result)
+        .collect()
+    };
+    let results = run();
     assert_eq!(results.len(), points.len());
     for (i, r) in results.iter().enumerate() {
         if i == 7 {
-            let e = r.as_ref().unwrap_err();
-            assert_eq!(e.index, 7);
-            assert!(e.message.contains("injected fault"), "{e}");
+            match r.as_ref().unwrap_err() {
+                SimError::Faulted { unit, message } => {
+                    assert_eq!(unit, "sweep point 7");
+                    assert!(message.contains("injected fault"), "{message}");
+                }
+                other => panic!("expected Faulted, got {other:?}"),
+            }
         } else {
             assert_eq!(*r, Ok(i as u64 + 100), "neighbor {i} must succeed");
         }
     }
     // And the failure report is itself deterministic across thread counts.
     set_threads(1);
-    let serial = try_sweep(&points, |&p| {
-        assert!(p != 7, "injected fault in point 7");
-        p as u64 + 100
-    });
+    let serial = run();
     set_threads(0);
     assert_eq!(serial, results);
 }
