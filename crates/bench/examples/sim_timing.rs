@@ -3,20 +3,22 @@
 //! median-of-samples wall times, alongside the hot-path counters the
 //! simulator reports and the speedup against the recorded pre-PR
 //! baselines (`PRE_PR_WALL_S`). One JSON object per (scenario, threads)
-//! pair.
+//! pair. A scenario whose semantics changed since its baseline gets a
+//! null speedup and the reason in `semantics_change`.
 //!
 //! ```text
 //! cargo run --release -p sustain-bench --example sim_timing > BENCH_sim.json
 //! ```
 //!
 //! Outcomes are byte-identical at every thread count (goldens +
-//! proptests lock this); only `wall_s` and the `spec_*` counters may
-//! differ between the two rows of one scenario.
+//! proptests lock this); only `wall_s` may differ between the two rows
+//! of one scenario. `termination` says how each run ended: a `Stalled`
+//! run stopped at its fixed point, a `StepCap` one at the safety cap.
 
 use serde::Serialize;
 use std::time::Instant;
-use sustain_bench::simloop::{pre_pr_wall_s, scenarios, Scale};
-use sustain_scheduler::metrics::SimOutcome;
+use sustain_bench::simloop::{pre_pr_wall_s, scenarios, semantics_change, Scale};
+use sustain_scheduler::metrics::{SimOutcome, Termination};
 use sustain_scheduler::sim::simulate;
 
 #[derive(Serialize)]
@@ -27,9 +29,11 @@ struct Row {
     wall_s: f64,
     samples: usize,
     pre_pr_wall_s: f64,
-    speedup_vs_pre_pr: f64,
+    speedup_vs_pre_pr: Option<f64>,
+    semantics_change: Option<&'static str>,
     records: usize,
     unfinished: usize,
+    termination: Termination,
     events: u64,
     schedule_passes: u64,
     schedule_skips: u64,
@@ -74,6 +78,7 @@ fn main() {
             let (wall_s, samples, out) = time_scenario(&sc.jobs, &sc.cfg);
             let baseline = pre_pr_wall_s(sc.name).expect("scenario has a pre-PR baseline");
             let hp = &out.hot_path;
+            let note = semantics_change(sc.name);
             rows.push(Row {
                 scenario: sc.name,
                 threads,
@@ -81,9 +86,11 @@ fn main() {
                 wall_s,
                 samples,
                 pre_pr_wall_s: baseline,
-                speedup_vs_pre_pr: baseline / wall_s,
+                speedup_vs_pre_pr: note.is_none().then(|| baseline / wall_s),
+                semantics_change: note,
                 records: out.records.len(),
                 unfinished: out.unfinished,
+                termination: out.termination,
                 events: hp.events,
                 schedule_passes: hp.schedule_passes,
                 schedule_skips: hp.schedule_skips,

@@ -67,6 +67,20 @@ pub const PRE_PR_WALL_S: &[(&str, f64)] = &[
     ("easy_full_365d_10k", 28.10),
 ];
 
+/// Why a scenario's outcome changed meaning after its pre-PR baseline
+/// was measured, if it did. A wall-time ratio against such a baseline
+/// mixes the semantics change into a "speedup", so `sim_timing`
+/// reports none for it.
+pub fn semantics_change(name: &str) -> Option<&'static str> {
+    match name {
+        "easy_full_365d_10k" => Some(
+            "the run now stops at its fixed point (termination Stalled); \
+             the baseline ticked an idle cluster to the 10M step cap",
+        ),
+        _ => None,
+    }
+}
+
 /// Looks up the pre-PR baseline for a scenario, if recorded.
 pub fn pre_pr_wall_s(name: &str) -> Option<f64> {
     PRE_PR_WALL_S
@@ -325,10 +339,8 @@ mod tests {
 
     /// Perf smoke for the incremental fair-share ordering: the fair-
     /// share corpus entries must finish with *zero* full resorts —
-    /// ordering is maintained by dirty-user repositioning alone (the
-    /// legacy `powf`-key regime, which would resort, is unreachable at
-    /// bench half-lives and horizons) — while the recording-free passes
-    /// register as skips. Catches both a silent fallback to the O(n
+    /// ordering is maintained by dirty-user repositioning alone — while
+    /// the recording-free passes register as skips. Catches both a silent fallback to the O(n
     /// log n) resort and a fix-up that stops skipping clean passes.
     #[test]
     fn fair_share_scenarios_avoid_full_resorts() {

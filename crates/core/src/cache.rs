@@ -24,9 +24,8 @@ use sustain_sim_core::hash::CanonicalHash;
 pub const DEFAULT_OUTCOME_CACHE_CAPACITY: usize = 64;
 
 /// Environment variable overriding the global outcome cache capacity.
-/// `0` **disables** outcome memoization entirely — note this differs
-/// from `SUSTAIN_TRACE_CACHE_CAP`, where `0` means unbounded; whole
-/// results are too large for "no limit" to ever be sensible.
+/// `0` disables outcome memoization entirely, as for every cache built
+/// on `sim-core::cache::LruCache`.
 pub const OUTCOME_CACHE_CAP_ENV: &str = "SUSTAIN_OUTCOME_CACHE_CAP";
 
 /// Cache key for a scenario outcome: the canonical content fingerprint
@@ -90,17 +89,11 @@ impl OutcomeCache {
     /// drops all entries; a smaller bound evicts down immediately.
     pub fn set_capacity(&self, capacity: usize) {
         self.inner.set_capacity(capacity);
-        if capacity == 0 {
-            self.inner.clear();
-        }
     }
 
     /// Look a completed result up; `None` when absent or when the cache
     /// is disabled. A hit refreshes the entry's LRU position.
     pub fn lookup(&self, key: &OutcomeKey) -> Option<Arc<ScenarioResult>> {
-        if self.capacity() == 0 {
-            return None;
-        }
         self.inner.lookup(key)
     }
 
@@ -109,9 +102,6 @@ impl OutcomeCache {
     /// cache disabled the result is passed back untouched and no
     /// counters advance.
     pub fn insert(&self, key: OutcomeKey, result: Arc<ScenarioResult>) -> Arc<ScenarioResult> {
-        if self.capacity() == 0 {
-            return result;
-        }
         self.inner.insert_after_miss(key, result)
     }
 

@@ -168,7 +168,7 @@ impl CanonicalHash for CarbonTrace {
 pub const DEFAULT_TRACE_CACHE_CAPACITY: usize = 256;
 
 /// Environment variable overriding the global trace cache capacity
-/// (`0` = unbounded).
+/// (`0` = disabled: every request regenerates).
 pub const TRACE_CACHE_CAP_ENV: &str = "SUSTAIN_TRACE_CACHE_CAP";
 
 /// Process-wide cache of calibrated traces, shared by every sweep point.
@@ -179,8 +179,8 @@ pub const TRACE_CACHE_CAP_ENV: &str = "SUSTAIN_TRACE_CACHE_CAP";
 /// so one generation serves the whole sweep.
 ///
 /// The cache is bounded: once more than `capacity` distinct keys have been
-/// inserted, the least recently used entry is evicted (capacity `0` means
-/// unbounded). Entries still in the cache keep their `Arc` identity across
+/// inserted, the least recently used entry is evicted (capacity `0`
+/// disables caching). Entries still in the cache keep their `Arc` identity across
 /// hits; an evicted key regenerates on next request — same values, new
 /// allocation. Hit/miss/eviction counters are exposed via [`stats`].
 ///
@@ -203,14 +203,14 @@ impl TraceCache {
     }
 
     /// Create an empty cache holding at most `capacity` traces
-    /// (`0` = unbounded).
+    /// (`0` = disabled).
     pub fn with_capacity(capacity: usize) -> TraceCache {
         TraceCache {
             inner: LruCache::with_capacity(capacity),
         }
     }
 
-    /// Current capacity bound (`0` = unbounded).
+    /// Current capacity bound (`0` = disabled).
     pub fn capacity(&self) -> usize {
         self.inner.capacity()
     }
@@ -490,14 +490,19 @@ mod tests {
     }
 
     #[test]
-    fn cache_set_capacity_evicts_down_and_zero_means_unbounded() {
+    fn cache_set_capacity_evicts_down_and_zero_disables() {
         let cache = TraceCache::with_capacity(0);
         let p = RegionProfile::january_2023(Region::Poland);
+        let a = cache.get_or_generate(&p, 2, 0);
+        let b = cache.get_or_generate(&p, 2, 0);
+        assert!(!Arc::ptr_eq(&a, &b), "capacity 0 must not share");
+        assert_eq!(a.series().values(), b.series().values());
+        assert!(cache.is_empty());
+        assert_eq!((cache.stats().hits, cache.stats().misses), (0, 0));
+        cache.set_capacity(8);
         for seed in 0..5 {
             cache.get_or_generate(&p, 2, seed);
         }
-        assert_eq!(cache.len(), 5, "capacity 0 must not evict");
-        assert_eq!(cache.stats().evictions, 0);
         cache.set_capacity(2);
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.stats().evictions, 3);

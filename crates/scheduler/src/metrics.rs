@@ -1,7 +1,7 @@
 //! Per-job records and aggregate scheduling/carbon metrics.
 
 use serde::{DeError, Deserialize, Serialize, Value};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{LazyLock, Mutex, MutexGuard};
 use sustain_grid::trace::CarbonTrace;
 use sustain_sim_core::stats::Summary;
 use sustain_sim_core::time::{SimDuration, SimTime};
@@ -202,50 +202,71 @@ impl Deserialize for HotPathStats {
     }
 }
 
-/// Process-wide accumulators: every `simulate` run (including the
-/// parallel sweep workers) folds its counters in, so the CLI can print
-/// one aggregate block after a multi-scenario command.
-static TOTAL_EVENTS: AtomicU64 = AtomicU64::new(0);
-static TOTAL_PASSES: AtomicU64 = AtomicU64::new(0);
-static TOTAL_SKIPS: AtomicU64 = AtomicU64::new(0);
-static TOTAL_RESORTS_TAKEN: AtomicU64 = AtomicU64::new(0);
-static TOTAL_RESORTS_SKIPPED: AtomicU64 = AtomicU64::new(0);
-static TOTAL_TRACE_HITS: AtomicU64 = AtomicU64::new(0);
-static TOTAL_TRACE_MISSES: AtomicU64 = AtomicU64::new(0);
-static TOTAL_SCRATCH_GROWS: AtomicU64 = AtomicU64::new(0);
-static TOTAL_FS_REPOSITIONS: AtomicU64 = AtomicU64::new(0);
-static TOTAL_FS_RENORMS: AtomicU64 = AtomicU64::new(0);
+/// Process-wide simulation totals: the hot-path counters of every
+/// `simulate` run (including the parallel sweep workers) folded through
+/// [`HotPathStats::absorb`], plus how many runs ended which way, so the
+/// CLI can print one aggregate block after a multi-scenario command.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RunTotals {
+    /// Summed per-run hot-path counters.
+    pub hot_path: HotPathStats,
+    /// Runs whose event queue ran empty.
+    pub drained: u64,
+    /// Runs that ended at a fixed point with work left.
+    pub stalled: u64,
+    /// Runs cut off by the `max_steps` backstop.
+    pub step_cap: u64,
+}
 
-pub(crate) fn record_hot_path_totals(s: &HotPathStats) {
-    TOTAL_EVENTS.fetch_add(s.events, Ordering::Relaxed);
-    TOTAL_PASSES.fetch_add(s.schedule_passes, Ordering::Relaxed);
-    TOTAL_SKIPS.fetch_add(s.schedule_skips, Ordering::Relaxed);
-    TOTAL_RESORTS_TAKEN.fetch_add(s.resorts_taken, Ordering::Relaxed);
-    TOTAL_RESORTS_SKIPPED.fetch_add(s.resorts_skipped, Ordering::Relaxed);
-    TOTAL_TRACE_HITS.fetch_add(s.trace_bucket_hits, Ordering::Relaxed);
-    TOTAL_TRACE_MISSES.fetch_add(s.trace_bucket_misses, Ordering::Relaxed);
-    TOTAL_SCRATCH_GROWS.fetch_add(s.scratch_grows, Ordering::Relaxed);
-    TOTAL_FS_REPOSITIONS.fetch_add(s.fs_repositions, Ordering::Relaxed);
-    TOTAL_FS_RENORMS.fetch_add(s.fs_renorms, Ordering::Relaxed);
+static TOTALS: LazyLock<Mutex<RunTotals>> = LazyLock::new(Mutex::default);
+
+fn totals() -> MutexGuard<'static, RunTotals> {
+    // The guarded value is plain counters, consistent between any two
+    // statements: a panic elsewhere while holding the lock leaves
+    // nothing half-written worth refusing.
+    TOTALS
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+pub(crate) fn record_run(hot_path: &HotPathStats, termination: Termination) {
+    let mut t = totals();
+    t.hot_path.absorb(hot_path);
+    match termination {
+        Termination::Drained => t.drained += 1,
+        Termination::Stalled { .. } => t.stalled += 1,
+        Termination::StepCap => t.step_cap += 1,
+    }
+}
+
+/// Snapshot of the process-wide totals over every simulation run so far
+/// (all threads).
+pub fn run_totals() -> RunTotals {
+    *totals()
 }
 
 /// Snapshot of the process-wide hot-path counters aggregated over every
 /// simulation run so far (all threads).
 pub fn hot_path_totals() -> HotPathStats {
-    HotPathStats {
-        events: TOTAL_EVENTS.load(Ordering::Relaxed),
-        schedule_passes: TOTAL_PASSES.load(Ordering::Relaxed),
-        schedule_skips: TOTAL_SKIPS.load(Ordering::Relaxed),
-        resorts_taken: TOTAL_RESORTS_TAKEN.load(Ordering::Relaxed),
-        resorts_skipped: TOTAL_RESORTS_SKIPPED.load(Ordering::Relaxed),
-        trace_bucket_hits: TOTAL_TRACE_HITS.load(Ordering::Relaxed),
-        trace_bucket_misses: TOTAL_TRACE_MISSES.load(Ordering::Relaxed),
-        scratch_grows: TOTAL_SCRATCH_GROWS.load(Ordering::Relaxed),
-        spec_planned: 0,
-        spec_hits: 0,
-        fs_repositions: TOTAL_FS_REPOSITIONS.load(Ordering::Relaxed),
-        fs_renorms: TOTAL_FS_RENORMS.load(Ordering::Relaxed),
-    }
+    totals().hot_path
+}
+
+/// Why a simulation run ended.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+pub enum Termination {
+    /// The event queue ran empty. Outcomes serialized before this field
+    /// existed load with this value.
+    #[default]
+    Drained,
+    /// The run reached its fixed point at `since` with work left: no
+    /// later event could start a job (the stop rule in DESIGN.md §6).
+    Stalled {
+        /// Simulation time at which the fixed point was detected.
+        since: SimTime,
+    },
+    /// The `max_steps` backstop ended the run before it drained or
+    /// stalled; the outcome covers only the events dispatched so far.
+    StepCap,
 }
 
 /// Aggregate outcome of a simulation run.
@@ -255,6 +276,8 @@ pub struct SimOutcome {
     pub records: Vec<JobRecord>,
     /// Jobs still pending/running at the horizon.
     pub unfinished: usize,
+    /// Why the run ended.
+    pub termination: Termination,
     /// Time of the last completion.
     pub makespan: SimTime,
     /// Wait-time summary, seconds.
@@ -284,6 +307,11 @@ impl Deserialize for SimOutcome {
         Ok(SimOutcome {
             records: Vec::<JobRecord>::from_value(serde::get_field(v, "records")?)?,
             unfinished: usize::from_value(serde::get_field(v, "unfinished")?)?,
+            // Absent in outcomes serialized before the field existed.
+            termination: match v.get("termination") {
+                Some(t) => Termination::from_value(t)?,
+                None => Termination::default(),
+            },
             makespan: SimTime::from_value(serde::get_field(v, "makespan")?)?,
             wait: Summary::from_value(serde::get_field(v, "wait")?)?,
             slowdown: Summary::from_value(serde::get_field(v, "slowdown")?)?,
@@ -329,6 +357,7 @@ impl SimOutcome {
             .unwrap_or(Carbon::ZERO);
         SimOutcome {
             unfinished,
+            termination: Termination::Drained,
             makespan,
             wait: Summary::of(&waits),
             slowdown: Summary::of(&slowdowns),

@@ -20,7 +20,7 @@
 //!   the overshoot is recorded as violation time rather than killing jobs.
 
 use crate::cluster::{Allocation, Cluster};
-use crate::metrics::{HotPathStats, JobRecord, Segment, SimOutcome};
+use crate::metrics::{HotPathStats, JobRecord, Segment, SimOutcome, Termination};
 use serde::{Deserialize, Serialize};
 use std::cell::Cell;
 use sustain_grid::trace::CarbonTrace;
@@ -438,8 +438,6 @@ struct Scratch {
     /// Keyed pending entries for a full fair-share resort (the test
     /// oracle; the production path repositions incrementally).
     keyed: Vec<(std::cmp::Reverse<u32>, f64, SimTime, JobId, usize)>,
-    /// Per-user decayed-usage memo for one legacy resort.
-    usage_memo: UserMap<f64>,
 }
 
 /// The single pending-order key (see [`Sim::pending_key`]).
@@ -631,20 +629,6 @@ fn fair_share_oracle_resort() -> bool {
 /// performance (`fs_renorms` counts occurrences).
 const FS_RENORM_HALF_LIVES: f64 = 512.0;
 
-/// Binary exponent below which a decayed fair-share usage is treated as
-/// dangerously close to the subnormal range (f64 subnormals start at
-/// 2^-1022). Once any user's decayed value sinks past `2^-1000`,
-/// ordering switches — stickily — to the legacy per-read `powf` keys:
-/// in the subnormal range the legacy values round so coarsely that
-/// comparing full-precision normalized values no longer reproduces
-/// their order, and the golden snapshots pin the legacy bits. The
-/// 22-half-life margin keeps the switch strictly inside the regime
-/// where both keys still agree. Reaching it at all takes a thousand
-/// half-lives of drain (centuries of simulated idle at realistic
-/// half-lives) — no benchmark scenario comes within an order of
-/// magnitude of it.
-const FS_DEGRADE_MIN_EXP: f64 = -1000.0;
-
 struct Sim<'a> {
     jobs: &'a [Job],
     cfg: &'a SimConfig,
@@ -667,7 +651,6 @@ struct Sim<'a> {
     violation_seconds: f64,
     tick_scheduled: bool,
     failure_rng: Option<sustain_sim_core::rng::RngStream>,
-    total_failures: u32,
     /// Largest budget the series ever offers (jobs that cannot fit even
     /// this are rejected at submit rather than pending forever).
     max_budget: Option<Power>,
@@ -703,31 +686,6 @@ struct Sim<'a> {
     // Users whose usage changed since the last ordering fix-up; only
     // their pending jobs can be out of place.
     fs_dirty: UserSet,
-    // The legacy representation the pre-incremental code kept: per-user
-    // (decayed node-seconds, last decay time), chained through one
-    // `powf` per recording. Maintained alongside the normalized map —
-    // one powf per *recording* is cheap; it is the per-*read* powf the
-    // normalized key eliminates — so the legacy-key regime below can
-    // reproduce the reference behavior bit for bit.
-    fs_legacy: UserMap<(f64, SimTime)>,
-    // Conservative lower bound on the positive normalized usages (stale
-    // entries may since have grown, so the bound only errs low, which
-    // only makes the legacy switch trigger earlier — always safe).
-    fs_min_nu: f64,
-    // Sticky switch into the legacy-key regime: set once any user's
-    // decayed usage approaches the subnormal range, where the legacy
-    // `powf` values lose the precision that makes them order-equivalent
-    // to the normalized key (see DESIGN.md §6). From then on ordering
-    // uses per-read legacy keys, exactly like the reference code.
-    fs_legacy_keys: bool,
-    /// Set by a legacy resort that found every pending user's decayed
-    /// usage to be exactly `0.0`. Zero is absorbing — decay only
-    /// multiplies by a factor in `[0, 1]` — so from that moment the
-    /// legacy key is time-invariant and the pending order frozen, which
-    /// is what lets [`Sim::can_skip_schedule`] skip again after the
-    /// legacy switch. Cleared by usage recordings and by inserts
-    /// carrying nonzero usage.
-    usage_all_zero: bool,
     /// Reusable planning buffers.
     scratch: Scratch,
 }
@@ -752,10 +710,6 @@ impl<'a> Sim<'a> {
             fs_usage: UserMap::default(),
             fs_shift: 0.0,
             fs_dirty: UserSet::default(),
-            fs_legacy: UserMap::default(),
-            fs_min_nu: f64::INFINITY,
-            fs_legacy_keys: false,
-            usage_all_zero: false,
             running: Vec::new(),
             suspended: Vec::new(),
             books: jobs
@@ -784,7 +738,6 @@ impl<'a> Sim<'a> {
                 .failures
                 .as_ref()
                 .map(|f| sustain_sim_core::rng::RngStream::new(f.seed)),
-            total_failures: 0,
             max_budget: cfg
                 .power_budget
                 .as_ref()
@@ -821,20 +774,15 @@ impl<'a> Sim<'a> {
         self.fs_usage.get(&user).copied().unwrap_or(0.0)
     }
 
-    /// Records usage for a user at `now`, in both representations. The
-    /// only operation that can change *relative* fair-share order:
-    /// decay between recordings scales every user's usage by the same
-    /// factor, preserving order, so only the recorded user goes dirty.
+    /// Records usage for a user at `now`. The only operation that can
+    /// change *relative* fair-share order: decay between recordings
+    /// scales every user's usage by the same factor, preserving order,
+    /// so only the recorded user goes dirty.
     fn record_usage(&mut self, user: u32, node_seconds: f64, now: SimTime) {
         if self.cfg.fair_share.is_none() {
             return;
         }
-        // The legacy representation: decay-to-now, then add. One `powf`
-        // per recording, exactly as the reference code chained them.
-        let decayed = self.legacy_usage(user, now);
-        self.fs_legacy.insert(user, (decayed + node_seconds, now));
         self.fs_dirty.insert(user);
-        self.usage_all_zero = false;
         self.quiescent = false;
         let mut e = self.fs_exponent(now);
         if e > FS_RENORM_HALF_LIVES {
@@ -843,36 +791,6 @@ impl<'a> Sim<'a> {
         }
         let nu = self.fs_usage.entry(user).or_insert(0.0);
         *nu += node_seconds * f64::exp2(e);
-        self.fs_min_nu = self.fs_min_nu.min(*nu);
-    }
-
-    /// Decayed usage of a user at `now` under the legacy representation
-    /// (node-seconds, half-life decay, per-read `powf`).
-    fn legacy_usage(&self, user: u32, now: SimTime) -> f64 {
-        let Some(cfg) = &self.cfg.fair_share else {
-            return 0.0;
-        };
-        match self.fs_legacy.get(&user) {
-            Some(&(value, at)) => {
-                let dt = now.saturating_since(at).as_secs();
-                value * 0.5f64.powf(dt / cfg.half_life.as_secs())
-            }
-            None => 0.0,
-        }
-    }
-
-    /// Whether ordering must switch to legacy keys at `now`: true once
-    /// the smallest positive normalized usage corresponds to a decayed
-    /// value within [`FS_DEGRADE_MARGIN_HALF_LIVES`] half-lives of the
-    /// subnormal range. Below that, the legacy values' own rounding —
-    /// which the goldens pin — is no longer reproduced by comparing
-    /// normalized values at full precision. Evaluated in log space so
-    /// the probe itself cannot underflow.
-    fn fs_should_degrade(&self, now: SimTime) -> bool {
-        if self.fs_min_nu == f64::INFINITY {
-            return false;
-        }
-        self.fs_min_nu.log2() - self.fs_exponent(now) < FS_DEGRADE_MIN_EXP
     }
 
     /// Advances the normalization epoch by `⌊e⌋` half-lives, rescaling
@@ -881,9 +799,7 @@ impl<'a> Sim<'a> {
     /// underflows toward subnormal range — and a subnormal collapse can
     /// merge previously-distinct usages into a tie, so every pending
     /// user is marked dirty and the next fix-up restores full sorted
-    /// order under the rescaled keys. Underflow all the way to `0.0`
-    /// mirrors the old `powf` path, which also underflowed after
-    /// ~1000 half-lives of decay.
+    /// order under the rescaled keys.
     fn fs_renormalize(&mut self, e: f64) {
         let k = e.floor();
         let scale = f64::exp2(-k);
@@ -895,18 +811,6 @@ impl<'a> Sim<'a> {
         for &u in &self.pending.user {
             self.fs_dirty.insert(u);
         }
-        // The bound rescales exactly like the values, but recompute it
-        // from scratch: entries that grew since the bound was taken make
-        // the stale bound pessimistic, and underflowed-to-zero entries
-        // must drop out (zero has no legacy precision left to protect —
-        // by the time a *renorm* can underflow a value, the legacy
-        // switch below has long since fired for it).
-        self.fs_min_nu = self
-            .fs_usage
-            .values()
-            .copied()
-            .filter(|&v| v > 0.0)
-            .fold(f64::INFINITY, f64::min);
     }
 
     /// THE pending-order key — the one definition the sorted insert,
@@ -934,17 +838,12 @@ impl<'a> Sim<'a> {
     /// since the last fix-up has provably unchanged order (the key is
     /// time-invariant) and skips outright — the gate the old
     /// timestamp-keyed skip could never hit under load.
-    ///
-    /// Once decayed usage approaches the subnormal range the whole
-    /// ordering switches — stickily — to [`Sim::resort_pending_legacy`],
-    /// which reproduces the reference `powf`-per-read behavior (see
-    /// [`FS_DEGRADE_MIN_EXP`]).
     #[inline]
-    fn fixup_pending(&mut self, now: SimTime) {
+    fn fixup_pending(&mut self) {
         if self.cfg.fair_share.is_none() {
             return;
         }
-        self.fixup_pending_fs(now);
+        self.fixup_pending_fs();
     }
 
     /// The fair-share-only body of [`Sim::fixup_pending`], outlined so
@@ -952,14 +851,7 @@ impl<'a> Sim<'a> {
     /// and pessimizes register allocation across — `schedule_pass`,
     /// which non-fair-share configs drive through the same call site.
     #[inline(never)]
-    fn fixup_pending_fs(&mut self, now: SimTime) {
-        if !self.fs_legacy_keys && self.fs_should_degrade(now) {
-            self.fs_legacy_keys = true;
-        }
-        if self.fs_legacy_keys {
-            self.resort_pending_legacy(now);
-            return;
-        }
+    fn fixup_pending_fs(&mut self) {
         if fair_share_oracle_resort() {
             self.resort_pending_full();
             return;
@@ -1134,70 +1026,12 @@ impl<'a> Sim<'a> {
         self.scratch.keyed = keyed;
     }
 
-    /// The reference resort, bit for bit: rebuild and fully sort the
-    /// pending queue under per-read legacy `powf` keys at `now`,
-    /// memoizing the decay per user. Runs on every pass once the legacy
-    /// switch has fired; also maintains `usage_all_zero`, the absorbing
-    /// state that lets [`Sim::can_skip_schedule`] skip again after
-    /// every usage has underflowed to exactly zero.
-    fn resort_pending_legacy(&mut self, now: SimTime) {
-        self.fs_dirty.clear();
-        if self.pending.len() < 2 {
-            return;
-        }
-        self.stats.resorts_taken += 1;
-        let mut keyed = std::mem::take(&mut self.scratch.keyed);
-        let mut memo = std::mem::take(&mut self.scratch.usage_memo);
-        let caps = (keyed.capacity(), memo.capacity());
-        keyed.clear();
-        memo.clear();
-        for &i in self.pending.iter() {
-            let user = self.jobs[i].user;
-            let usage = *memo
-                .entry(user)
-                .or_insert_with(|| self.legacy_usage(user, now));
-            keyed.push((
-                std::cmp::Reverse(self.priorities[i]),
-                usage,
-                self.jobs[i].submit,
-                self.jobs[i].id,
-                i,
-            ));
-        }
-        keyed.sort_unstable_by(|a, b| pend_key_cmp(&(a.0, a.1, a.2, a.3), &(b.0, b.1, b.2, b.3)));
-        self.usage_all_zero = memo.values().all(|&v| v == 0.0);
-        let jobs = self.jobs;
-        self.pending.idx.clear();
-        self.pending.idx.extend(keyed.iter().map(|k| k.4));
-        self.pending.user.clear();
-        self.pending
-            .user
-            .extend(keyed.iter().map(|k| jobs[k.4].user));
-        if (keyed.capacity(), memo.capacity()) != caps {
-            self.stats.scratch_grows += 1;
-        }
-        self.scratch.keyed = keyed;
-        self.scratch.usage_memo = memo;
-    }
-
-    /// Legacy-regime pending key at `now` (per-read `powf`).
-    fn pending_key_legacy(&self, i: usize, now: SimTime) -> PendKey {
-        (
-            std::cmp::Reverse(self.priorities[i]),
-            self.legacy_usage(self.jobs[i].user, now),
-            self.jobs[i].submit,
-            self.jobs[i].id,
-        )
-    }
-
     /// Sorted insert by [`Sim::pending_key`] — the same key the fix-up
     /// and the oracle use, so the list is in final order immediately.
     /// O(log n) key evaluations along the binary search path,
-    /// allocation-free; the normalized key is time-invariant, so `now`
-    /// only matters in the legacy regime (where the insert replays the
-    /// reference per-read `powf` keys, and a nonzero usage un-freezes
-    /// the absorbed all-zero state).
-    fn pending_insert(&mut self, idx: usize, now: SimTime) {
+    /// allocation-free; the normalized key is time-invariant, so the
+    /// insert needs no `now`.
+    fn pending_insert(&mut self, idx: usize) {
         self.quiescent = false;
         // The binary search probes *live* keys, so it requires the queue
         // to be fully sorted under them — i.e. no usage recording may be
@@ -1207,21 +1041,7 @@ impl<'a> Sim<'a> {
         // cleared `quiescent`) fixes the order before the next event can
         // insert.
         debug_assert!(self.fs_dirty.is_empty());
-        if self.cfg.fair_share.is_some() && !self.fs_legacy_keys && self.fs_should_degrade(now) {
-            self.fs_legacy_keys = true;
-        }
         let user = self.jobs[idx].user;
-        if self.fs_legacy_keys {
-            let key = self.pending_key_legacy(idx, now);
-            if key.1 != 0.0 {
-                self.usage_all_zero = false;
-            }
-            let pos = self.pending.partition_point(|&p| {
-                pend_key_cmp(&self.pending_key_legacy(p, now), &key) != std::cmp::Ordering::Greater
-            });
-            self.pending.insert(pos, idx, user);
-            return;
-        }
         let key = self.pending_key(idx);
         let pos = self.pending.partition_point(|&p| {
             pend_key_cmp(&self.pending_key(p), &key) != std::cmp::Ordering::Greater
@@ -1292,20 +1112,29 @@ impl<'a> Sim<'a> {
         let job = &self.jobs[idx];
         let (min, max) = job.bounds();
         let desired = job.requested_nodes.clamp(min, max);
-        let mut alloc = desired.min(self.alloc.free());
-        if let Some(budget) = self.budget_at(now) {
-            let headroom = budget - self.running_power;
-            if headroom <= Power::ZERO {
-                return None;
-            }
-            let power_fit = (headroom.watts() / job.power_per_node.watts().max(1e-9)) as u32;
-            alloc = alloc.min(power_fit);
-        }
+        let alloc = desired
+            .min(self.alloc.free())
+            .min(self.power_fit(idx, now)?);
         if alloc >= min && alloc > 0 {
             Some(alloc)
         } else {
             None
         }
+    }
+
+    /// Most nodes job `idx` could draw power for in the budget headroom
+    /// at `now` (`u32::MAX` without a budget), or `None` when there is
+    /// no headroom at all.
+    #[inline]
+    fn power_fit(&self, idx: usize, now: SimTime) -> Option<u32> {
+        let Some(budget) = self.budget_at(now) else {
+            return Some(u32::MAX);
+        };
+        let headroom = budget - self.running_power;
+        if headroom <= Power::ZERO {
+            return None;
+        }
+        Some((headroom.watts() / self.jobs[idx].power_per_node.watts().max(1e-9)) as u32)
     }
 
     fn start_job(&mut self, idx: usize, alloc: u32, work_remaining: f64, now: SimTime) {
@@ -1504,21 +1333,6 @@ impl<'a> Sim<'a> {
         if matches!(self.cfg.policy, Policy::ConservativeBackfill) && !self.running.is_empty() {
             return false;
         }
-        // Fair share blocks skipping only in the legacy-key regime,
-        // where the per-read `powf` key drifts as `now` advances (and
-        // underflows to exactly 0.0 at a user-specific time). Once a
-        // legacy resort has observed every pending user's usage at
-        // exactly 0.0, zero is absorbing and the order is frozen again.
-        // In the normalized regime the key is time-invariant, so no
-        // guard is needed — but a pass that *would* cross into the
-        // legacy regime must run so the switch happens on schedule.
-        if self.cfg.fair_share.is_some()
-            && self.pending.len() >= 2
-            && !self.usage_all_zero
-            && (self.fs_legacy_keys || self.fs_should_degrade(now))
-        {
-            return false;
-        }
         // A budget change alters `choose_alloc`. Compare the value, not
         // the bucket index: flat stretches and the clamped tail past
         // the end of the series still skip.
@@ -1537,7 +1351,7 @@ impl<'a> Sim<'a> {
     /// EASY backfilling where enabled).
     #[inline(never)]
     fn schedule_pass(&mut self, now: SimTime) {
-        self.fixup_pending(now);
+        self.fixup_pending();
         // 1. Resume suspended jobs (FIFO) if the grid allows it. Jobs
         // that resume are compacted out in place — same visit order and
         // intervening mutations as the old remove-and-continue loop,
@@ -1845,7 +1659,6 @@ impl<'a> Sim<'a> {
         for _ in 0..failures {
             let node = rng.uniform_u64(self.cfg.cluster.nodes as u64) as u32;
             let busy = self.alloc.busy();
-            self.total_failures += 1;
             // The node is busy with probability busy/total; map the node
             // index onto the busy range deterministically.
             if node < busy {
@@ -1903,7 +1716,7 @@ impl<'a> Sim<'a> {
         } else {
             // Total loss: back to pending with full work (start_job always
             // begins rigid restarts from job.work).
-            self.pending_insert(run.idx, now);
+            self.pending_insert(run.idx);
         }
     }
 
@@ -2041,6 +1854,59 @@ impl<'a> Sim<'a> {
         self.maybe_schedule_tick(now);
     }
 
+    /// Whether the run sits at its fixed point at `now`: a quiescent
+    /// pass with work left (pending or suspended jobs) and
+    ///
+    /// * nothing running and every job submitted;
+    /// * no Finish or NodeRepaired event queued — with nothing running
+    ///   the only live Finish events are gone, and every node still
+    ///   claimed is a failed one awaiting its repair;
+    /// * the power-budget and carbon series past their last bucket, so
+    ///   the budget value and the resume verdict are constant;
+    /// * every pending job past its carbon-aware `max_delay`, so the
+    ///   start gate passes them all regardless of the grid.
+    ///
+    /// Every input of a scheduling pass is then constant — fair-share
+    /// order changes only at a completion — so no later event can start
+    /// a job. The run ends here instead of ticking an idle cluster to
+    /// `max_steps`.
+    ///
+    /// Further node failures only take nodes away, which can never
+    /// start a job under FCFS or EASY. Conservative backfilling is the
+    /// exception: a failed node can push a power-blocked job's
+    /// reservation past `now` and hand its slot to a smaller job. There,
+    /// with failures enabled, the run stalls only once every pending job
+    /// is blocked by the power budget alone, whatever the free nodes.
+    fn stalled(&self, now: SimTime) -> bool {
+        if !self.quiescent
+            || !self.running.is_empty()
+            || (self.pending.is_empty() && self.suspended.is_empty())
+            || self.submitted < self.jobs.len()
+            || self.alloc.free() != self.cfg.cluster.nodes
+        {
+            return false;
+        }
+        let past_end = |series: Option<&TimeSeries>| series.is_none_or(|s| now >= s.end());
+        if !past_end(self.cfg.power_budget.as_ref())
+            || !past_end(self.cfg.carbon_trace.as_ref().map(CarbonTrace::series))
+        {
+            return false;
+        }
+        match &self.cfg.policy {
+            Policy::CarbonAware(cfg) => self
+                .pending
+                .iter()
+                .all(|&i| now.saturating_since(self.jobs[i].submit) >= cfg.max_delay),
+            Policy::ConservativeBackfill if self.cfg.failures.is_some() => {
+                self.pending.iter().all(|&i| {
+                    let (min, _) = self.jobs[i].bounds();
+                    self.power_fit(i, now).is_none_or(|fit| fit < min)
+                })
+            }
+            _ => true,
+        }
+    }
+
     fn work_outstanding(&self) -> bool {
         !self.pending.is_empty()
             || !self.running.is_empty()
@@ -2078,9 +1944,11 @@ impl<'a> Sim<'a> {
         self.maybe_schedule_tick(SimTime::ZERO);
 
         let mut steps = 0u64;
+        let mut termination = Termination::Drained;
         while let Some((t, ev)) = self.queue.pop() {
             steps += 1;
             if steps > self.cfg.max_steps {
+                termination = Termination::StepCap;
                 break;
             }
             if let Some(ctl) = ctl {
@@ -2116,7 +1984,7 @@ impl<'a> Sim<'a> {
                         self.books[idx].rejected = true;
                         self.rejected += 1;
                     } else {
-                        self.pending_insert(idx, t);
+                        self.pending_insert(idx);
                         self.try_schedule(t);
                     }
                     self.maybe_schedule_tick(t);
@@ -2131,6 +1999,10 @@ impl<'a> Sim<'a> {
                     self.alloc.release(1);
                     self.try_schedule(t);
                 }
+            }
+            if self.stalled(t) {
+                termination = Termination::Stalled { since: t };
+                break;
             }
         }
 
@@ -2167,8 +2039,9 @@ impl<'a> Sim<'a> {
             self.idle_carbon,
             self.violation_seconds,
         );
+        out.termination = termination;
         out.hot_path = self.stats;
-        crate::metrics::record_hot_path_totals(&out.hot_path);
+        crate::metrics::record_run(&out.hot_path, termination);
         Ok(out)
     }
 }
@@ -2321,17 +2194,6 @@ pub fn simulate_with_ctl(
 pub fn try_simulate(jobs: &[Job], cfg: &SimConfig) -> Result<SimOutcome, SimError> {
     cfg.validate()?;
     Ok(simulate(jobs, cfg))
-}
-
-/// [`try_simulate`] with a cancellation control: validates up front,
-/// then runs under `ctl` like [`simulate_with_ctl`].
-pub fn try_simulate_with_ctl(
-    jobs: &[Job],
-    cfg: &SimConfig,
-    ctl: &RunCtl,
-) -> Result<SimOutcome, SimError> {
-    cfg.validate()?;
-    simulate_with_ctl(jobs, cfg, ctl)
 }
 
 #[cfg(test)]
@@ -3005,32 +2867,43 @@ mod tests {
         assert!(cases > 500);
     }
 
-    /// Steady-state scheduling skips must not change outcomes: a budget
-    /// scenario that strands jobs past the end of the series ticks in a
-    /// quiescent tail, and the skip counter must grow while the outcome
-    /// stays byte-identical to a run with skipping disabled (the goldens
-    /// lock this across the corpus; this is the fast in-tree check).
+    /// A budget scenario that strands a job: the flat stretch of the
+    /// budget series ticks in a quiescent tail whose passes must skip,
+    /// and once the series runs out the run stops at its fixed point —
+    /// typed `Stalled`, far below the step cap, with idle energy charged
+    /// only up to the stall.
     #[test]
-    fn quiescent_skips_accumulate_in_budget_tail() {
+    fn stranded_budget_tail_skips_then_stalls_at_series_end() {
         // 4 jobs × 2 nodes × 500 W = 1 kW each; budget 1 kW admits one
         // at a time, then collapses to 100 W so the last job strands.
         let jobs: Vec<Job> = (0..4).map(|i| rigid(i, 0.0, 2, 1.0)).collect();
         let mut budget = vec![1000.0; 3];
-        budget.push(100.0);
+        budget.extend([100.0; 2000]);
         let series = TimeSeries::new(SimTime::ZERO, SimDuration::from_hours(1.0), budget);
         let mut cfg = SimConfig::easy(Cluster::new(4));
         cfg.power_budget = Some(series);
         cfg.max_steps = 5_000;
         let out = simulate(&jobs, &cfg);
         assert_eq!(out.unfinished, 1, "last job should strand on 100 W");
-        // The tail is thousands of hourly ticks at a flat budget value:
-        // nearly all of them must skip the scheduling pass.
+        let end = SimTime::from_hours(2003.0);
+        assert_eq!(out.termination, Termination::Stalled { since: end });
+        // The tail is ~2000 hourly ticks at a flat budget value: nearly
+        // all of them must skip the scheduling pass.
         assert!(
-            out.hot_path.schedule_skips > 4_000,
+            out.hot_path.schedule_skips > 1_900,
             "expected a skipped tail, got {:?}",
             out.hot_path
         );
         assert!(out.hot_path.schedule_passes < 100);
-        assert_eq!(out.hot_path.events, 5_001);
+        assert!(out.hot_path.events < 2_100);
+        // Idle energy is charged only up to the stall: at most all four
+        // nodes idle for the whole run.
+        let idle_cap = cfg.cluster.idle_node_power * 4.0;
+        assert!(out.idle_energy <= idle_cap.for_duration(end - SimTime::ZERO));
+        // A tighter cap ends the same run early, and says so.
+        cfg.max_steps = 50;
+        let capped = simulate(&jobs, &cfg);
+        assert_eq!(capped.termination, Termination::StepCap);
+        assert_eq!(capped.hot_path.events, 51);
     }
 }

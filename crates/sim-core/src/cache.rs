@@ -14,8 +14,8 @@
 //! * expensive value construction happens **outside** the lock — racing
 //!   first requests may both construct, but construction is deterministic
 //!   so both produce identical values and the first insert wins;
-//! * `capacity == 0` means unbounded at this layer (wrappers that want
-//!   "0 disables" implement that above the cache).
+//! * `capacity == 0` disables the cache: lookups miss without counting,
+//!   inserts hand the value straight back, and no counter advances.
 
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -36,7 +36,7 @@ pub struct CacheStats {
     pub evictions: u64,
     /// Entries currently cached.
     pub len: usize,
-    /// Capacity bound (`0` = unbounded).
+    /// Capacity bound (`0` = disabled).
     pub capacity: usize,
 }
 
@@ -84,7 +84,7 @@ pub struct LruCache<K, V> {
 
 impl<K: Eq + Hash + Clone, V: Clone> LruCache<K, V> {
     /// Create an empty cache holding at most `capacity` entries
-    /// (`0` = unbounded).
+    /// (`0` = disabled).
     pub fn with_capacity(capacity: usize) -> LruCache<K, V> {
         LruCache {
             capacity: AtomicUsize::new(capacity),
@@ -92,13 +92,13 @@ impl<K: Eq + Hash + Clone, V: Clone> LruCache<K, V> {
         }
     }
 
-    /// Current capacity bound (`0` = unbounded).
+    /// Current capacity bound (`0` = disabled).
     pub fn capacity(&self) -> usize {
         self.capacity.load(Ordering::Relaxed)
     }
 
     /// Change the capacity bound, immediately evicting down to it if the
-    /// cache currently holds more entries.
+    /// cache currently holds more entries (`0` evicts everything).
     pub fn set_capacity(&self, capacity: usize) {
         self.capacity.store(capacity, Ordering::Relaxed);
         let mut guard = self.lock();
@@ -107,8 +107,12 @@ impl<K: Eq + Hash + Clone, V: Clone> LruCache<K, V> {
 
     /// Look `key` up. A hit refreshes the entry's LRU position and counts
     /// toward `hits`; a miss counts nothing (the miss is recorded by the
-    /// matching [`insert_after_miss`](Self::insert_after_miss)).
+    /// matching [`insert_after_miss`](Self::insert_after_miss)). A
+    /// disabled cache always misses.
     pub fn lookup(&self, key: &K) -> Option<V> {
+        if self.capacity() == 0 {
+            return None;
+        }
         let mut guard = self.lock();
         let inner = &mut *guard;
         inner.tick += 1;
@@ -124,8 +128,13 @@ impl<K: Eq + Hash + Clone, V: Clone> LruCache<K, V> {
     /// Record a miss and insert the freshly constructed `value`, keeping
     /// an already-present entry if a racing request inserted first.
     /// Returns the canonical cached value (the winner of any race) and
-    /// evicts down to capacity.
+    /// evicts down to capacity. A disabled cache returns `value` as is
+    /// and counts nothing.
     pub fn insert_after_miss(&self, key: K, value: V) -> V {
+        let cap = self.capacity();
+        if cap == 0 {
+            return value;
+        }
         let mut guard = self.lock();
         let inner = &mut *guard;
         inner.tick += 1;
@@ -137,7 +146,6 @@ impl<K: Eq + Hash + Clone, V: Clone> LruCache<K, V> {
         });
         entry.last_used = now;
         let out = entry.value.clone();
-        let cap = self.capacity.load(Ordering::Relaxed);
         Self::evict_to_cap(inner, cap);
         out
     }
@@ -185,9 +193,6 @@ impl<K: Eq + Hash + Clone, V: Clone> LruCache<K, V> {
     /// timestamps are unique, so the victim order is deterministic
     /// regardless of `HashMap` iteration order.
     fn evict_to_cap(inner: &mut CacheInner<K, V>, cap: usize) {
-        if cap == 0 {
-            return;
-        }
         while inner.map.len() > cap {
             // O(len) scan; len is bounded by the capacity and eviction is
             // off the generation hot path.
@@ -236,13 +241,20 @@ mod tests {
     }
 
     #[test]
-    fn zero_capacity_is_unbounded_and_set_capacity_evicts_down() {
+    fn zero_capacity_disables_and_set_capacity_evicts_down() {
         let cache: LruCache<u64, Arc<u64>> = LruCache::with_capacity(0);
+        let a = get_or_fill(&cache, 1);
+        assert!(
+            !Arc::ptr_eq(&a, &get_or_fill(&cache, 1)),
+            "disabled cache must not share"
+        );
+        assert!(cache.is_empty());
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses, s.evictions), (0, 0, 0));
+        cache.set_capacity(8);
         for k in 0..5 {
             get_or_fill(&cache, k);
         }
-        assert_eq!(cache.len(), 5, "capacity 0 must not evict");
-        assert_eq!(cache.stats().evictions, 0);
         cache.set_capacity(2);
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.stats().evictions, 3);
@@ -251,6 +263,9 @@ mod tests {
         get_or_fill(&cache, 3);
         get_or_fill(&cache, 4);
         assert_eq!(cache.stats().misses, before, "3 and 4 must be hits");
+        // Disabling a populated cache drops its entries.
+        cache.set_capacity(0);
+        assert!(cache.is_empty());
     }
 
     #[test]

@@ -276,10 +276,8 @@ pub fn generate(config: &WorkloadConfig, horizon: SimDuration, seed: u64) -> Vec
 pub const DEFAULT_WORKLOAD_CACHE_CAPACITY: usize = 64;
 
 /// Environment variable overriding the global workload cache capacity.
-/// `0` **disables** the cache entirely (every request regenerates) —
-/// note this differs from `SUSTAIN_TRACE_CACHE_CAP`, where `0` means
-/// unbounded; synthesized job sets are large enough that "no limit" is
-/// never what an operator wants.
+/// `0` disables the cache entirely (every request regenerates), as for
+/// every cache built on `sim-core::cache::LruCache`.
 pub const WORKLOAD_CACHE_CAP_ENV: &str = "SUSTAIN_WORKLOAD_CACHE_CAP";
 
 /// Cache key for a synthesized job set: the canonical fingerprint of the
@@ -345,25 +343,19 @@ impl WorkloadCache {
     /// drops all entries; a smaller bound evicts down immediately.
     pub fn set_capacity(&self, capacity: usize) {
         self.inner.set_capacity(capacity);
-        if capacity == 0 {
-            self.inner.clear();
-        }
     }
 
     /// Fetch the job set for `(config, horizon, seed)`, generating and
     /// inserting it on first use. Hits return a clone of the cached `Arc`
     /// (pointer-identical jobs) and refresh the entry's LRU position.
-    /// With capacity `0` the cache is bypassed entirely (no counters
-    /// advance).
+    /// With capacity `0` every call generates afresh and no counter
+    /// advances.
     pub fn get_or_generate(
         &self,
         config: &WorkloadConfig,
         horizon: SimDuration,
         seed: u64,
     ) -> Arc<Vec<Job>> {
-        if self.capacity() == 0 {
-            return Arc::new(generate(config, horizon, seed));
-        }
         let key = WorkloadKey::new(config, horizon, seed);
         if let Some(jobs) = self.inner.lookup(&key) {
             return jobs;

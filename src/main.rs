@@ -298,10 +298,11 @@ fn sim_err<T>(r: Result<T, SimError>) -> Result<T, String> {
 }
 
 /// `--stats`: prints the process-wide simulator hot-path counters
-/// accumulated across every simulation this invocation ran (stderr, so
-/// JSON output stays pipeable).
+/// accumulated across every simulation this invocation ran, and how
+/// those runs ended (stderr, so JSON output stays pipeable).
 fn print_hot_path_stats() {
-    let s = sustain_hpc::scheduler::metrics::hot_path_totals();
+    let totals = sustain_hpc::scheduler::metrics::run_totals();
+    let s = totals.hot_path;
     let skip_pct = if s.schedule_passes + s.schedule_skips > 0 {
         100.0 * s.schedule_skips as f64 / (s.schedule_passes + s.schedule_skips) as f64
     } else {
@@ -326,6 +327,10 @@ fn print_hot_path_stats() {
     eprintln!(
         "sim fair share: {} jobs repositioned | {} usage-epoch renorms",
         s.fs_repositions, s.fs_renorms
+    );
+    eprintln!(
+        "sim runs: {} drained / {} stalled / {} hit the step cap",
+        totals.drained, totals.stalled, totals.step_cap
     );
     print_memo_cache_stats();
 }

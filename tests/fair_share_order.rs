@@ -11,9 +11,9 @@
 //! whole run without a single full resort.
 //!
 //! A second property forces pathological half-lives (minutes against a
-//! multi-day horizon) so the epoch renormalization — and, past ~1000
-//! half-lives of drift, the sticky legacy-key regime — actually fire
-//! inside the run, not just in the long-horizon goldens.
+//! multi-day horizon, with work outstanding throughout) so the epoch
+//! renormalization actually fires inside the run, not just in the
+//! long-horizon goldens.
 
 use proptest::prelude::*;
 use serde::{Serialize, Value};
@@ -85,10 +85,9 @@ fn run_both(jobs: &[Job], cfg: &SimConfig) -> (SimOutcome, SimOutcome) {
 
 proptest! {
     /// Normal-regime equivalence: day-scale half-lives over a 3-day
-    /// horizon stay far from both the renormalization threshold and the
-    /// subnormal legacy switch, so the incremental path must handle the
-    /// entire run without one full resort — and land on the oracle's
-    /// bytes exactly.
+    /// horizon stay far from the renormalization threshold, so the
+    /// incremental path must handle the entire run without one full
+    /// resort — and land on the oracle's bytes exactly.
     #[test]
     fn incremental_ordering_matches_full_resort_oracle(
         seed in any::<u64>(),
@@ -120,11 +119,11 @@ proptest! {
     }
 
     /// Pathological half-lives: minutes against a 3-day horizon push the
-    /// normalization exponent through many renormalizations and — past
-    /// ~1000 half-lives of inactivity for some user — into the sticky
-    /// legacy-key regime. Byte identity must survive both transitions.
+    /// normalization exponent through many renormalizations, each of
+    /// which rescales every stored usage and re-sorts every pending
+    /// user. Byte identity must survive every epoch change.
     #[test]
-    fn renorm_and_legacy_regimes_match_oracle(
+    fn renorm_regime_matches_oracle(
         seed in any::<u64>(),
         users in 2u32..12,
         half_life_secs in 60.0f64..900.0,

@@ -10,7 +10,13 @@
 //! incremental pending queue, and the scratch-buffer planning passes
 //! are all required to be decision- and numerics-preserving.
 //!
-//! Regenerate (only when a PR *intentionally* changes semantics) with:
+//! `easy_carbon_fairshare_budget` strands work once its budget series
+//! ends; its snapshot was regenerated when stalled runs started ending
+//! at their fixed point (`termination: Stalled`) instead of ticking an
+//! idle cluster to the step cap. The other five drain, and gained only
+//! their `termination` line.
+//!
+//! Regenerate (only when a change *intentionally* alters semantics) with:
 //!
 //! ```text
 //! GOLDEN_REGEN=1 cargo test --test golden_sim
